@@ -44,6 +44,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: int):
+    """argparse ``type=`` for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # keeps argparse's "invalid int value" wording
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="treenullity",
@@ -74,20 +87,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="build both extremal trees and verify certificates")
     add_sequence_source(p)
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--rank-limit", type=int, default=DEFAULT_RANK_LIMIT)
+    p.add_argument("--rank-limit", type=_at_least(0), default=DEFAULT_RANK_LIMIT)
 
     p = sub.add_parser("spectrum", help="exact nullity histogram over all realizations")
     add_sequence_source(p)
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
 
     p = sub.add_parser("conjecture", help="scan for a witness tree per matching number")
     add_sequence_source(p)
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_BUDGET)
+    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
+    p.add_argument("--samples", type=_at_least(0), default=DEFAULT_SAMPLE_BUDGET)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -182,7 +195,7 @@ def _run_verify(s: DegreeSequence, args) -> tuple[dict, str | None]:
 
 def _run_spectrum(s: DegreeSequence, args) -> tuple[dict, str | None]:
     progress = None
-    if args.jobs <= 1 and sys.stderr.isatty():  # pragma: no cover - interactive nicety
+    if sys.stderr.isatty():  # pragma: no cover - interactive nicety
         progress = lambda done, total: print(
             f"  {done}/{total} trees", file=sys.stderr, flush=True
         )

@@ -31,7 +31,7 @@ on-path exceptions for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .degseq import DegreeSequence, bounds, stats
 from .errors import ConstructionInvariantViolated, InputError
@@ -55,7 +55,6 @@ class MinCertificate:
     branch: str
     matching: Matching
     path_block: tuple[int, ...]
-    trace: tuple[dict, ...] = field(default=(), compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,7 +82,6 @@ class MaxCertificate:
     m_k: Matching
     m_j: Matching
     m_s: Matching
-    trace: tuple[dict, ...] = field(default=(), compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,18 +146,15 @@ def build_min(s: DegreeSequence) -> MinCertificate:
             branch=BRANCH_MANY_LEAVES,
             matching=Matching(((1, 2),)),
             path_block=(),
-            trace=({"step": "single-edge"},),
         )
 
     d = (0,) + s.degrees  # 1-based degree access
     st = stats(s)
     l = st.l
-    trace: list[dict] = []
 
     k = n - (d[n] - 1)
     edges: list[Edge] = [(1, n)]
     edges.extend((j, n) for j in range(n - 1, k - 1, -1))
-    trace.append({"step": "hub", "vertex": n, "children": [1, *range(n - 1, k - 1, -1)]})
 
     leafy = (n - l) <= n // 2
     pair_count = (n - l) if leafy else l
@@ -169,7 +164,6 @@ def build_min(s: DegreeSequence) -> MinCertificate:
         edges.append((i, v))
         edges.extend((p, v) for p in pool)
         k -= d[v] - 2
-        trace.append({"step": "attach", "vertex": v, "leaf": i, "pool": pool})
 
     if leafy:
         matching = Matching(tuple((i, n - i + 1) for i in range(1, n - l + 1)))
@@ -184,7 +178,6 @@ def build_min(s: DegreeSequence) -> MinCertificate:
         block = tuple(range(l + 1, n - l + 1))
         edges.extend((block[t], block[t + 1]) for t in range(len(block) - 1))
         edges.append((1, l + 1))
-        trace.append({"step": "path-block", "vertices": list(block), "connector": (1, l + 1)})
         pairs = [(i, n - i + 1) for i in range(1, l + 1)]
         pairs.extend((block[2 * t], block[2 * t + 1]) for t in range(len(block) // 2))
         matching = Matching(tuple(pairs))
@@ -206,7 +199,6 @@ def build_min(s: DegreeSequence) -> MinCertificate:
         branch=branch,
         matching=matching,
         path_block=block,
-        trace=tuple(trace),
     )
 
 
@@ -238,17 +230,14 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
             m_k=Matching(()),
             m_j=Matching(()),
             m_s=Matching(((1, 2),)),
-            trace=({"step": "single-edge"},),
         )
 
     d = (0,) + s.degrees
     st = stats(s)
     l, a = st.l, st.a
-    trace: list[dict] = []
 
     dn = d[n]
     edges: list[Edge] = [(j, n) for j in range(1, dn + 1)]
-    trace.append({"step": "hub", "vertex": n, "children": list(range(1, dn + 1))})
 
     placed = dn + 1
     k = dn
@@ -266,7 +255,6 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
         frontier = [h - 1 - x for x in range(dc - 1)]
         edges.extend((c, f) if c < f else (f, c) for f in frontier)
         placed += dc - 1
-        trace.append({"step": "connector", "vertex": c, "degree": dc, "frontier": frontier})
         if placed == n:
             break
         last_processed = frontier[0]
@@ -278,7 +266,6 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
             placed += dj - 1
             k += dj - 1
             last_processed = vj
-            trace.append({"step": "expand", "vertex": vj, "degree": dj, "children": children})
             if placed == n:
                 break
         if placed == n:
@@ -344,7 +331,6 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
         m_k=m_k,
         m_j=m_j,
         m_s=m_s,
-        trace=tuple(trace),
     )
 
 

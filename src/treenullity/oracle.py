@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -42,8 +44,6 @@ def _decode_edges(code: Sequence[int], n: int) -> list[Edge]:
     Pointer variant of the classic decode: the smallest current leaf is
     joined to the next code symbol; the final leaf is joined to n.
     """
-    if n == 2:
-        return [(1, 2)]
     deg = [1] * (n + 1)
     for x in code:
         deg[x] += 1
@@ -115,11 +115,32 @@ def prufer_encode(tree: LabeledTree) -> PrueferCode:
 # ---------------------------------------------------------------------------
 
 
+def _count_within(s: DegreeSequence, cap: int | None) -> int | None:
+    """Number of labeled trees realizing ``s``, or None once it passes ``cap``.
+
+    The multinomial (n-2)! / prod (d_i - 1)! is built as a running product of
+    binomials C(placed + d_i - 1, d_i - 1); no factor is below 1, so the
+    product can stop as soon as it exceeds the cap.
+    """
+    total = 1
+    placed = 0
+    for d in s.degrees:
+        placed += d - 1
+        total *= math.comb(placed, d - 1)
+        if cap is not None and total > cap:
+            return None
+    return total
+
+
 def count_trees(s: DegreeSequence) -> int:
     """Number of labeled trees realizing ``s``: (n-2)! / prod (d_i - 1)!."""
-    total = math.factorial(s.n - 2)
-    for d in s.degrees:
-        total //= math.factorial(d - 1)
+    return _count_within(s, None)
+
+
+def _capped_total(s: DegreeSequence, cap: int) -> int:
+    total = _count_within(s, cap)
+    if total is None:
+        raise EnumerationCapExceeded(f"more than {cap} trees")
     return total
 
 
@@ -146,7 +167,7 @@ def _next_permutation(a: list[int]) -> bool:
     while a[j] <= a[i]:
         j -= 1
     a[i], a[j] = a[j], a[i]
-    a[i + 1 :] = a[: i : -1] if i >= 0 else a[::-1]
+    a[i + 1 :] = a[: i : -1]
     return True
 
 
@@ -186,6 +207,78 @@ def _unrank_permutation(s: DegreeSequence, rank: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _codes(s: DegreeSequence, start: int, count: int) -> Iterator[list[int]]:
+    """The Prüfer codes of ranks start .. start + count - 1 (count >= 1), in
+    lexicographic order.  One list is yielded, advanced in place."""
+    sym = _unrank_permutation(s, start) if start else _symbol_multiset(s)
+    yield sym
+    for _ in range(count - 1):
+        _next_permutation(sym)
+        yield sym
+
+
+def _code_nu(code: Sequence[int], n: int) -> int:
+    """Matching number of the tree with this code.
+
+    Fuses the Prüfer decode with the greedy child-to-parent matching pass:
+    decode removes vertices children-first, so matching each removed leaf to
+    its neighbor whenever both are free yields the matching number exactly.
+    """
+    deg = [1] * (n + 1)
+    for x in code:
+        deg[x] += 1
+    matched = bytearray(n + 1)
+    nu = 0
+    ptr = 1
+    while deg[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for x in code:
+        if not matched[leaf] and not matched[x]:
+            matched[leaf] = 1
+            matched[x] = 1
+            nu += 1
+        deg[x] -= 1
+        if x < ptr and deg[x] == 1:
+            leaf = x
+        else:
+            ptr += 1
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    if not matched[leaf] and not matched[n]:
+        nu += 1
+    return nu
+
+
+_CHUNK = 1_000_000  # longest rank range handed to one task
+
+
+def _partition(total: int, jobs: int) -> tuple[int, list[tuple[int, int]]]:
+    """Worker count and the contiguous (start, count) ranges covering 0..total.
+
+    Workers are clamped to the CPU count; there are at least as many ranges
+    as workers, none longer than ``_CHUNK`` and none empty.
+    """
+    workers = max(1, min(jobs, total, os.cpu_count() or 1))
+    pieces = max(workers, -(-total // _CHUNK))
+    cuts = [(k * total) // pieces for k in range(pieces + 1)]
+    return workers, [(a, b - a) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+def _fan_out(worker: Callable, tasks: list, workers: int) -> Iterator:
+    """``worker`` over ``tasks``, results in task order: in-process for one
+    worker, otherwise through one fork pool.  Closing the iterator early stops
+    the remaining work."""
+    if workers == 1:
+        yield from map(worker, tasks)
+        return
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        yield from pool.imap(worker, tasks)
+
+
 def enumerate_trees(
     s: DegreeSequence,
     visitor: Callable[[LabeledTree], None],
@@ -196,86 +289,18 @@ def enumerate_trees(
     Trees arrive in the lexicographic order of their Prüfer codes.  The
     visitor must be pure.  Returns the number of trees visited.
     """
-    total = count_trees(s)
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} trees exceed cap {cap}")
+    total = _capped_total(s, cap)
     n = s.n
-    sym = _symbol_multiset(s)
-    visited = 0
-    while True:
-        visitor(from_valid_edges(n, _decode_edges(sym, n)))
-        visited += 1
-        if not _next_permutation(sym):
-            break
-    return visited
+    for code in _codes(s, 0, total):
+        visitor(from_valid_edges(n, _decode_edges(code, n)))
+    return total
 
 
-def _matching_counts_for_range(
-    degrees: tuple[int, ...], start_rank: int, count: int
-) -> dict[int, int]:
-    """Histogram of matching numbers over a contiguous rank range.
-
-    Fuses the Prüfer decode with the greedy child-to-parent matching pass:
-    decode removes vertices children-first, so matching each removed leaf to
-    its neighbor whenever both are free yields the matching number exactly.
-    """
-    s = DegreeSequence(degrees)
+def _histogram(task: tuple[DegreeSequence, int, int]) -> Counter[int]:
+    """Matching-number histogram over one rank range."""
+    s, start, count = task
     n = s.n
-    by_matching: dict[int, int] = {}
-    if n == 2:
-        by_matching[1] = count
-        return by_matching
-    if start_rank == 0:
-        sym = _symbol_multiset(s)
-    else:
-        sym = _unrank_permutation(s, start_rank)
-    length = n - 2
-    deg = [0] * (n + 1)
-    matched = bytearray(n + 1)
-    for _ in range(count):
-        for v in range(1, n + 1):
-            deg[v] = 1
-            matched[v] = 0
-        for x in sym:
-            deg[x] += 1
-        nu = 0
-        ptr = 1
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-        for x in sym:
-            if not matched[leaf] and not matched[x]:
-                matched[leaf] = 1
-                matched[x] = 1
-                nu += 1
-            deg[x] -= 1
-            if x < ptr and deg[x] == 1:
-                leaf = x
-            else:
-                ptr += 1
-                while deg[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-        if not matched[leaf] and not matched[n]:
-            nu += 1
-        by_matching[nu] = by_matching.get(nu, 0) + 1
-        # In-place lexicographic successor (inlined for speed).
-        i = length - 2
-        while i >= 0 and sym[i] >= sym[i + 1]:
-            i -= 1
-        if i < 0:
-            break
-        j = length - 1
-        while sym[j] <= sym[i]:
-            j -= 1
-        sym[i], sym[j] = sym[j], sym[i]
-        sym[i + 1 :] = sym[:i:-1]
-    return by_matching
-
-
-def _spectrum_worker(args: tuple[tuple[int, ...], int, int]) -> dict[int, int]:
-    degrees, start_rank, count = args
-    return _matching_counts_for_range(degrees, start_rank, count)
+    return Counter(_code_nu(code, n) for code in _codes(s, start, count))
 
 
 @dataclass(frozen=True)
@@ -305,50 +330,26 @@ def spectrum(
 ) -> NullitySpectrum:
     """Exhaustive nullity / matching-number histograms for ``s``.
 
-    With ``jobs > 1`` the lexicographic rank space is cut into contiguous
-    ranges processed by a fork-based pool; the merged histograms are
-    identical to a single-threaded run because addition is order-free.
-    ``progress`` (single-threaded only) is called as progress(done, total)
-    roughly every million trees.
+    The lexicographic rank space is cut into contiguous ranges, processed by
+    a fork-based pool of up to ``jobs`` workers (clamped to the CPU count);
+    the merged histograms are identical for every ``jobs`` because addition
+    is order-free.  ``progress`` is called as progress(done, total) after
+    each range, that is, at least every million trees.
     """
-    total = count_trees(s)
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} trees exceed cap {cap}")
-    degrees = s.degrees
-    n = s.n
-    if jobs > 1 and total > 1:
-        jobs = min(jobs, total)
-        cuts = [(w * total) // jobs for w in range(jobs + 1)]
-        tasks = [
-            (degrees, cuts[w], cuts[w + 1] - cuts[w])
-            for w in range(jobs)
-            if cuts[w + 1] > cuts[w]
-        ]
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=len(tasks)) as pool:
-            parts = pool.map(_spectrum_worker, tasks)
-        by_matching: dict[int, int] = {}
-        for part in parts:
-            for k, v in part.items():
-                by_matching[k] = by_matching.get(k, 0) + v
-    elif progress is None:
-        by_matching = _matching_counts_for_range(degrees, 0, total)
-    else:
-        by_matching = {}
-        done = 0
-        step = 1_000_000
-        while done < total:
-            chunk = min(step, total - done)
-            part = _matching_counts_for_range(degrees, done, chunk)
-            for k, v in part.items():
-                by_matching[k] = by_matching.get(k, 0) + v
-            done += chunk
+    total = _capped_total(s, cap)
+    workers, ranges = _partition(total, jobs)
+    tasks = [(s, start, count) for start, count in ranges]
+    hist: Counter[int] = Counter()
+    done = 0
+    for (_, count), part in zip(ranges, _fan_out(_histogram, tasks, workers)):
+        hist.update(part)
+        done += count
+        if progress is not None:
             progress(done, total)
-    by_nullity = {n - 2 * nu: c for nu, c in by_matching.items()}
+    by_matching = dict(hist)
+    by_nullity = {s.n - 2 * nu: c for nu, c in by_matching.items()}
     return NullitySpectrum(
-        sequence=degrees, total=total, by_nullity=by_nullity, by_matching=by_matching
+        sequence=s.degrees, total=total, by_nullity=by_nullity, by_matching=by_matching
     )
 
 
@@ -470,89 +471,27 @@ class ConjectureScan:
         return out
 
 
-def _nu_of_edges(edges: list[Edge], n: int) -> int:
-    """Matching number from decode-ordered edges (children before parents)."""
-    matched = bytearray(n + 1)
-    nu = 0
-    for u, v in edges:
-        if not matched[u] and not matched[v]:
-            matched[u] = 1
-            matched[v] = 1
-            nu += 1
-    return nu
-
-
-def _normalized(edges: list[Edge]) -> tuple[Edge, ...]:
-    return tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-
-
-_Found = dict[int, tuple[int, tuple[Edge, ...]]]
-
-
-def _scan_exhaustive_range(
-    args: tuple[tuple[int, ...], int, int, tuple[int, ...]]
-) -> _Found:
-    """First witness (by enumeration rank) per target over one rank range."""
-    degrees, start, count, targets = args
-    s = DegreeSequence(degrees)
+def _first_witnesses(
+    task: tuple[DegreeSequence, int, int, tuple[int, ...], int | None]
+) -> dict[int, tuple[Edge, ...]]:
+    """First witness per target over one range: enumeration ranks when
+    ``seed`` is None, otherwise sample indices."""
+    s, start, count, targets, seed = task
     n = s.n
-    sym = _unrank_permutation(s, start) if start else _symbol_multiset(s)
+    if seed is None:
+        codes = _codes(s, start, count)
+    else:
+        codes = (_shuffled_symbols(s, (seed + i) & _MASK64) for i in range(start, start + count))
     missing = set(targets)
-    found: _Found = {}
-    rank = start
-    for _ in range(count):
-        edges = _decode_edges(sym, n)
-        nu = _nu_of_edges(edges, n)
+    found: dict[int, tuple[Edge, ...]] = {}
+    for code in codes:
+        nu = _code_nu(code, n)
         if nu in missing:
-            found[nu] = (rank, _normalized(edges))
-            missing.discard(nu)
-            if not missing:
-                break
-        if not _next_permutation(sym):
-            break
-        rank += 1
-    return found
-
-
-def _scan_sample_range(
-    args: tuple[tuple[int, ...], int, int, int, tuple[int, ...]]
-) -> _Found:
-    """First witness (by sample index) per target over one index range."""
-    degrees, seed, lo, hi, targets = args
-    s = DegreeSequence(degrees)
-    n = s.n
-    missing = set(targets)
-    found: _Found = {}
-    for i in range(lo, hi):
-        edges = _decode_edges(_shuffled_symbols(s, (seed + i) & _MASK64), n)
-        nu = _nu_of_edges(edges, n)
-        if nu in missing:
-            found[nu] = (i, _normalized(edges))
+            found[nu] = tuple(sorted(_decode_edges(code, n)))
             missing.discard(nu)
             if not missing:
                 break
     return found
-
-
-def _merge_first(parts: list[_Found], targets: range) -> dict[int, tuple[Edge, ...] | None]:
-    witnesses: dict[int, tuple[Edge, ...] | None] = {k: None for k in targets}
-    best: dict[int, int] = {}
-    for part in parts:
-        for k, (rank, edges) in part.items():
-            if k not in best or rank < best[k]:
-                best[k] = rank
-                witnesses[k] = edges
-    return witnesses
-
-
-def _fan_out(worker, tasks: list) -> list[_Found]:
-    if len(tasks) == 1:
-        return [worker(tasks[0])]
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=len(tasks)) as pool:
-        return pool.map(worker, tasks)
 
 
 def conjecture_scan(
@@ -571,44 +510,30 @@ def conjecture_scan(
     how the work is partitioned across ``jobs``.
     """
     b = bounds(s)
-    targets = range(b.nu_min, b.nu_max + 1)
-    total = count_trees(s)
-    if total <= cap:
-        jobs = max(1, min(jobs, total))
-        cuts = [(w * total) // jobs for w in range(jobs + 1)]
-        tasks = [
-            (s.degrees, cuts[w], cuts[w + 1] - cuts[w], tuple(targets))
-            for w in range(jobs)
-            if cuts[w + 1] > cuts[w]
-        ]
-        witnesses = _merge_first(_fan_out(_scan_exhaustive_range, tasks), targets)
-        return ConjectureScan(
-            sequence=s.degrees,
-            nu_min=b.nu_min,
-            nu_max=b.nu_max,
-            exhaustive=True,
-            witnesses=witnesses,
-        )
-    jobs = max(1, min(jobs, max(samples, 1)))
-    cuts = [(w * samples) // jobs for w in range(jobs + 1)]
-    tasks = [
-        (s.degrees, seed, cuts[w], cuts[w + 1], tuple(targets))
-        for w in range(jobs)
-        if cuts[w + 1] > cuts[w]
-    ]
-    witnesses = (
-        _merge_first(_fan_out(_scan_sample_range, tasks), targets)
-        if tasks
-        else {k: None for k in targets}
-    )
+    targets = tuple(range(b.nu_min, b.nu_max + 1))
+    total = _count_within(s, cap)
+    exhaustive = total is not None
+    workers, ranges = _partition(total if exhaustive else samples, jobs)
+    draw_seed = None if exhaustive else seed
+    tasks = [(s, start, count, targets, draw_seed) for start, count in ranges]
+    # Ranges arrive in order, so the first witness seen for a value is the
+    # first overall; the scan stops once every value has one.
+    witnesses: dict[int, tuple[Edge, ...] | None] = dict.fromkeys(targets)
+    missing = set(targets)
+    for part in _fan_out(_first_witnesses, tasks, workers):
+        for k in missing & part.keys():
+            witnesses[k] = part[k]
+        missing -= part.keys()
+        if not missing:
+            break
     return ConjectureScan(
         sequence=s.degrees,
         nu_min=b.nu_min,
         nu_max=b.nu_max,
-        exhaustive=False,
+        exhaustive=exhaustive,
         witnesses=witnesses,
-        samples=samples,
-        seed=seed,
+        samples=None if exhaustive else samples,
+        seed=draw_seed,
     )
 
 

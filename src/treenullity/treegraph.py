@@ -258,27 +258,6 @@ class LabeledTree:
             frontier = nxt
         raise NotConnected(f"no path from {u} to {v}")  # pragma: no cover
 
-    def path_between(self, u: int, v: int) -> tuple[int, ...]:
-        """Vertex list of the unique u-v path, endpoints included."""
-        self._check_label(u)
-        self._check_label(v)
-        parent = [0] * (self.n + 1)
-        parent[u] = u
-        frontier = [u]
-        while frontier and parent[v] == 0:
-            nxt = []
-            for x in frontier:
-                for y in self._adj[x]:
-                    if parent[y] == 0:
-                        parent[y] = x
-                        nxt.append(y)
-            frontier = nxt
-        path = [v]
-        while path[-1] != u:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return tuple(path)
-
     def two_coloring(self) -> list[int]:
         """Proper 2-coloring (trees are bipartite); entry 0 is unused.
 

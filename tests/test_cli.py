@@ -151,6 +151,23 @@ class TestConjecture:
         assert invoke(capsys, "conjecture", seq, "--jobs", "3") == base
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "1,1,2,2", "--cap", "-1"],
+        ["conjecture", "1,1,2,2", "--cap", "-1"],
+        ["conjecture", "1,1,1,2,2,3", "--cap", "3", "--samples", "-5"],
+        ["verify", "1,1,2,2", "--rank-limit", "-3"],
+        ["spectrum", "1,1,2,2", "--jobs", "0"],
+        ["conjecture", "1,1,2,2", "--jobs", "-2"],
+    ],
+)
+def test_out_of_range_numeric_flags_exit_1(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
 class TestBatch:
     def test_file_mode(self, capsys, tmp_path):
         f = tmp_path / "seqs.txt"

@@ -1,6 +1,8 @@
 """Prüfer bijection, enumeration, spectra, sampling and the conjecture scan."""
 
 import itertools
+import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +23,16 @@ from treenullity import (
     spectrum,
     tree_degree_sequences,
 )
+from treenullity import oracle
 from treenullity.oracle import (
     _next_permutation,
+    _partition,
     _symbol_multiset,
     _unrank_permutation,
     random_degree_sequence,
 )
+
+FIG_1A = "1,1,1,1,1,1,2,2,3,3,4"  # 15,120 trees; the first nu = 3 tree has rank 4375
 
 
 class TestPrufer:
@@ -158,12 +164,71 @@ class TestSpectrum:
             for jobs in (2, 3, 7):
                 assert spectrum(s, jobs=jobs) == base
 
+    def test_cap_check_stops_early(self):
+        # (n - 2)! has about 1.5 million bits here; the cap check must not build it.
+        n = 100_000
+        s = DegreeSequence((1, 1) + (2,) * (n - 2))
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapExceeded):
+            spectrum(s)
+        assert time.perf_counter() - start < 1
+
     def test_progress_chunks_match(self):
         s = parse_sequence("1,1,1,1,2,2,2,2,2,3,3")
-        calls = []
-        sp = spectrum(s, progress=lambda done, total: calls.append((done, total)))
-        assert sp == spectrum(s)
-        assert calls[-1][0] == calls[-1][1] == sp.total
+        base = spectrum(s)
+        for jobs in (1, 2):
+            calls = []
+            sp = spectrum(s, jobs=jobs, progress=lambda done, total: calls.append((done, total)))
+            assert sp == base
+            assert calls[-1] == (sp.total, sp.total)
+            assert [done for done, _ in calls] == sorted({done for done, _ in calls})
+
+
+class TestPartition:
+    @pytest.mark.parametrize("total,jobs", [(10**8, 10**6), (90_720, 7), (1, 5), (3, 1)])
+    def test_ranges(self, total, jobs):
+        workers, ranges = _partition(total, jobs)
+        assert 1 <= workers <= min(jobs, total, os.cpu_count() or 1)
+        assert len(ranges) >= workers
+        assert ranges[0][0] == 0
+        for (start, count), (nxt, _) in zip(ranges, ranges[1:]):
+            assert start + count == nxt
+        assert all(0 < count <= oracle._CHUNK for _, count in ranges)
+        assert sum(count for _, count in ranges) == total
+
+    def test_empty(self):
+        assert _partition(0, 4) == (1, [])
+
+
+class TestChunkedKernel:
+    """Ranges that start mid-enumeration go through ``_unrank_permutation``."""
+
+    @pytest.mark.parametrize("text", ["1,1,1,1,2,2,2,2,2,3,3", FIG_1A])
+    def test_small_chunks_match_unchunked(self, text, monkeypatch):
+        s = parse_sequence(text)
+        base_spectrum = spectrum(s)
+        base_scan = conjecture_scan(s)
+        base_sampling = conjecture_scan(s, cap=10, samples=2500, seed=4)
+        monkeypatch.setattr(oracle, "_CHUNK", 1000)
+        assert len(_partition(count_trees(s), 1)[1]) > 10
+        for jobs in (1, 2, 3):
+            assert spectrum(s, jobs=jobs) == base_spectrum
+            assert conjecture_scan(s, jobs=jobs) == base_scan
+            assert conjecture_scan(s, cap=10, samples=2500, seed=4, jobs=jobs) == base_sampling
+
+    def test_witnesses_are_first_in_enumeration_order(self):
+        for n in range(2, 9):
+            for s in tree_degree_sequences(n):
+                first: dict[int, tuple] = {}
+
+                def visit(t):
+                    first.setdefault(t.maximum_matching().size, t.edges)
+
+                enumerate_trees(s, visit)
+                scan = conjecture_scan(s)
+                assert scan.exhaustive
+                for nu, edges in scan.witnesses.items():
+                    assert edges == first.get(nu)
 
 
 class TestRandomTree:

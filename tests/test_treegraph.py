@@ -189,9 +189,6 @@ class TestDistance:
         with pytest.raises(LabelOutOfRange):
             path(4).distance(1, 9)
 
-    def test_path_between(self):
-        assert path(5).path_between(2, 5) == (2, 3, 4, 5)
-
     @given(labeled_trees())
     @settings(max_examples=100, deadline=None)
     def test_two_coloring_matches_parity(self, t):
