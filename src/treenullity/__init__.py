@@ -4,7 +4,8 @@ Given a tree degree sequence, this package evaluates the closed formulas for
 the minimum and maximum nullity (equivalently: maximum and minimum matching
 number, minimum and maximum independence number) over all labeled trees
 realizing it, constructs certified trees attaining both extremes, and checks
-everything against brute-force enumeration and an exact integer rank oracle.
+everything against brute-force enumeration and an exact adjacency rank,
+computed over GF(2), which for a forest equals the rational rank (2 * nu).
 All arithmetic is exact; no floating point is used anywhere.
 """
 

@@ -51,7 +51,8 @@ class LimitError(TreeNullityError):
 
 
 class SizeLimitExceeded(LimitError):
-    """Tree too large for the exact rank elimination."""
+    """Tree too large for the GF(2) rank elimination (exact on forests, where
+    the rank is 2 * nu over every field)."""
 
 
 class EnumerationCapExceeded(LimitError):

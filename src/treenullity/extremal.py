@@ -390,6 +390,10 @@ def internal_leaf_adjacency_violations(
     return tuple(out)
 
 
+def _is_label(v, n: int) -> bool:
+    return isinstance(v, int) and 1 <= v <= n
+
+
 def _revalidated(tree: LabeledTree) -> tuple[bool, str]:
     try:
         from_edges(tree.n, tree.edges)
@@ -412,11 +416,10 @@ def _common_checks(
     if not ok:
         return checks
 
+    degrees = tree.degree_multiset()
     checks.append(
         CheckResult(
-            "degree-multiset",
-            tree.degree_multiset().degrees == s.degrees,
-            f"tree {tree.degree_multiset()} vs input {s}",
+            "degree-multiset", degrees.degrees == s.degrees, f"tree {degrees} vs input {s}"
         )
     )
     for name, m in matchings.items():
@@ -509,55 +512,70 @@ def _verify_max(
         return VerificationReport(kind="max-nullity", checks=tuple(checks))
 
     n, l, a = s.n, b.l, b.a
-    omega, v_k = cert.omega, cert.v_k
+    omega, v_k, v_mk = cert.omega, cert.v_k, cert.v_mk
+    # A forged certificate may name labels that are not vertices of the tree;
+    # every check that reads a V_K or v_mk label fails on them, never raises.
+    labels_ok = all(_is_label(v, tree.n) for v in v_k)
     checks.append(
         CheckResult(
             "omega-counts-v_k",
-            omega == len(v_k) and (omega == 0) == (cert.v_mk is None),
+            omega == len(v_k) and (omega == 0) == (v_mk is None),
             f"omega = {omega}, |v_k| = {len(v_k)}",
         )
     )
     checks.append(
         CheckResult(
             "v_k-internal-increasing",
-            all(tree.degree(v) > 1 for v in v_k)
+            labels_ok
+            and all(tree.degree(v) > 1 for v in v_k)
             and all(v_k[i] < v_k[i + 1] for i in range(len(v_k) - 1)),
             f"v_k = {list(v_k)}",
         )
     )
-    consec = all(
-        tree.distance(v_k[i], v_k[i + 1]) == 2 for i in range(len(v_k) - 1)
+    # Distinct tree vertices are at distance 2 exactly when they share a
+    # neighbor (they cannot also be adjacent: a tree has no triangle).  Each
+    # member is in at most two pairs, so this costs O(sum of degrees).
+    around = [set(tree.neighbors(v)) for v in v_k] if labels_ok else []
+    consec = labels_ok and all(
+        v_k[i] != v_k[i + 1] and not around[i].isdisjoint(around[i + 1])
+        for i in range(len(v_k) - 1)
     )
     checks.append(CheckResult("v_k-consecutive-distance-2", consec, ""))
     color = tree.two_coloring()
     checks.append(
         CheckResult(
             "v_k-pairwise-even-distance",
-            len({color[v] for v in v_k}) <= 1,
+            labels_ok and len({color[v] for v in v_k}) <= 1,
             "all members share a bipartition class",
         )
     )
 
-    if cert.v_mk is None:
-        actual_l_mk = 0
+    if v_mk is not None and not _is_label(v_mk, tree.n):
+        checks.append(CheckResult("l_mk-count", False, f"v_mk = {v_mk!r} not in 1..{tree.n}"))
     else:
-        actual_l_mk = sum(1 for u in tree.neighbors(cert.v_mk) if tree.degree(u) == 1)
-    checks.append(
-        CheckResult(
-            "l_mk-count", cert.l_mk == actual_l_mk, f"{cert.l_mk} vs {actual_l_mk}"
+        actual_l_mk = 0 if v_mk is None else sum(
+            1 for u in tree.neighbors(v_mk) if tree.degree(u) == 1
         )
-    )
+        checks.append(
+            CheckResult(
+                "l_mk-count", cert.l_mk == actual_l_mk, f"{cert.l_mk} vs {actual_l_mk}"
+            )
+        )
 
     if n == 2:
         checks.append(CheckResult("internal-edge-identity", True, "skipped (n = 2)"))
         checks.append(CheckResult("omega-annihilation-bounds", True, "skipped (n = 2)"))
     else:
         lhs = n - 1 - l
-        rhs = -cert.l_mk + sum(tree.degree(v) for v in v_k)
-        checks.append(
-            CheckResult("internal-edge-identity", lhs == rhs, f"n-1-l = {lhs}, "
-                        f"-l_mk + sum deg(v_k) = {rhs}")
-        )
+        if labels_ok:
+            rhs = -cert.l_mk + sum(tree.degree(v) for v in v_k)
+            identity = CheckResult("internal-edge-identity", lhs == rhs, f"n-1-l = {lhs}, "
+                                   f"-l_mk + sum deg(v_k) = {rhs}")
+        else:
+            identity = CheckResult(
+                "internal-edge-identity", False, f"v_k = {list(v_k)} not within 1..{tree.n}"
+            )
+        checks.append(identity)
         omega_ok = (a - l) <= omega <= (a - l + 1) and (omega == a - l) == (cert.l_mk == 0)
         checks.append(
             CheckResult(
@@ -573,9 +591,10 @@ def _verify_max(
         p_k_ok = p_k == ()
     else:
         p_k_ok = (
-            len(p_k) == 2 * omega - 1
+            labels_ok
+            and len(p_k) == 2 * omega - 1
             and p_k[0] == v_k[0]
-            and p_k[-1] == cert.v_mk
+            and p_k[-1] == v_mk
             and set(v_k) <= set(p_k)
             and all(
                 (min(p_k[i], p_k[i + 1]), max(p_k[i], p_k[i + 1])) in edge_set
@@ -603,7 +622,8 @@ def _verify_max(
     # Degree-2 vertices *on* P_K between two connectors legitimately have no
     # leaf neighbor; they are listed in the detail for visibility.
     strict = internal_leaf_adjacency_violations(tree, v_k)
-    off_path = tuple(v for v in strict if v not in set(p_k))
+    on_path = set(p_k)
+    off_path = tuple(v for v in strict if v not in on_path)
     detail = "no exceptions" if not strict else (
         f"on-path degree-2 exceptions {list(strict)}" if not off_path
         else f"off-path violations {list(off_path)}"

@@ -2,10 +2,12 @@
 
 Vertices are labeled 1..n.  Every operation is pure and exact: the matching
 number comes from leaf stripping (exact on forests, so no blossom machinery
-is needed), and the adjacency rank is computed over the integers by
-fraction-free elimination so that no floating-point rank decision is ever
-made.  For any tree, rank = 2 * nu, which makes the rank an independent
-cross-check of the matching code and vice versa.
+is needed), and the adjacency rank comes from elimination over GF(2) on
+integer bitmasks, so no floating-point rank decision is ever made.  For any
+forest the adjacency rank is 2 * nu over every field (deleting a pendant
+vertex and its neighbor lowers the rank by exactly 2 and nu by 1;
+Cvetković–Gutman 1972), so the GF(2) rank equals the rational rank, and it
+is an independent cross-check of the matching code and vice versa.
 """
 
 from __future__ import annotations
@@ -109,19 +111,24 @@ class LabeledTree:
         if len(self.edges) != n - 1:
             raise WrongEdgeCount(f"{len(self.edges)} edges, a tree on {n} vertices has {n - 1}")
         # n - 1 edges and connected <=> tree; check connectivity by BFS from 1.
-        seen = [False] * (n + 1)
-        seen[1] = True
-        stack = [1]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in self._adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
+        count = n + 1 - self._bfs(1).count(-1)
         if count != n:
             raise NotConnected(f"only {count} of {n} vertices reachable")
+
+    def _bfs(self, source: int) -> list[int]:
+        """Edge distances from ``source``, indexed by label; -1 marks the
+        unreached entries, among them the unused entry 0."""
+        adj = self._adj
+        dist = [-1] * (self.n + 1)
+        dist[source] = 0
+        queue = [source]
+        for x in queue:
+            dx = dist[x] + 1
+            for y in adj[x]:
+                if dist[y] < 0:
+                    dist[y] = dx
+                    queue.append(y)
+        return dist
 
     # -- basic accessors ---------------------------------------------------
 
@@ -195,86 +202,48 @@ class LabeledTree:
         return self.n - self.maximum_matching().size
 
     def adjacency_rank_exact(self, limit: int = DEFAULT_RANK_LIMIT) -> int:
-        """Exact integer rank of the 0/1 adjacency matrix.
+        """Exact rank of the 0/1 adjacency matrix, by elimination over GF(2).
 
-        Fraction-free (Bareiss) elimination with partial pivoting by absolute
-        value; every division is exact, so the result is the true rank over
-        the rationals.  Guarded by ``limit`` since this is a cross-check
-        oracle, not a production path.
+        Each row is one integer bitmask and rows are reduced by XOR against
+        a basis keyed by leading bit.  For a forest the rank is 2 * nu over
+        every field: a pendant vertex's row is the unit vector of its
+        neighbor, so eliminating with it splits off a rank-2 block and leaves
+        the forest without that edge's two vertices.  The GF(2) rank is thus
+        the true rank over the rationals.  Guarded by ``limit`` since this is
+        a cross-check oracle, not a production path.
         """
         n = self.n
         if n > limit:
             raise SizeLimitExceeded(f"n={n} exceeds rank limit {limit}")
-        rows = [[0] * n for _ in range(n)]
-        for u, v in self.edges:
-            rows[u - 1][v - 1] = 1
-            rows[v - 1][u - 1] = 1
-        rank = 0
-        prev = 1
-        for col in range(n):
-            best = -1
-            best_abs = 0
-            for i in range(rank, n):
-                a = rows[i][col]
-                if a and abs(a) > best_abs:
-                    best = i
-                    best_abs = abs(a)
-            if best < 0:
-                continue
-            if best != rank:
-                rows[best], rows[rank] = rows[rank], rows[best]
-            pivot_row = rows[rank]
-            pivot = pivot_row[col]
-            # The factor-zero rows are rescaled too; Bareiss divisibility
-            # needs the update applied uniformly below the pivot.
-            for i in range(rank + 1, n):
-                row = rows[i]
-                factor = row[col]
-                for j in range(col + 1, n):
-                    row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
-                row[col] = 0
-            prev = pivot
-            rank += 1
-        return rank
+        basis: dict[int, int] = {}
+        for v in range(1, n + 1):
+            row = 0
+            for w in self._adj[v]:
+                row |= 1 << w
+            while row:
+                lead = row.bit_length()
+                pivot = basis.get(lead)
+                if pivot is None:
+                    basis[lead] = row
+                    break
+                row ^= pivot
+        return len(basis)
 
     def distance(self, u: int, v: int) -> int:
         """Edge count of the unique u-v path (breadth-first from u)."""
         self._check_label(u)
         self._check_label(v)
-        if u == v:
-            return 0
-        dist = [-1] * (self.n + 1)
-        dist[u] = 0
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in self._adj[x]:
-                    if dist[y] < 0:
-                        dist[y] = dist[x] + 1
-                        if y == v:
-                            return dist[y]
-                        nxt.append(y)
-            frontier = nxt
-        raise NotConnected(f"no path from {u} to {v}")  # pragma: no cover
+        d = self._bfs(u)[v]
+        if d < 0:
+            raise NotConnected(f"no path from {u} to {v}")  # pragma: no cover
+        return d
 
     def two_coloring(self) -> list[int]:
         """Proper 2-coloring (trees are bipartite); entry 0 is unused.
 
         Two vertices are at even distance exactly when they share a color.
         """
-        color = [-1] * (self.n + 1)
-        color[1] = 0
-        frontier = [1]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in self._adj[x]:
-                    if color[y] < 0:
-                        color[y] = 1 - color[x]
-                        nxt.append(y)
-            frontier = nxt
-        return color
+        return [d % 2 if d >= 0 else -1 for d in self._bfs(1)]
 
     # -- serialization -------------------------------------------------------
 

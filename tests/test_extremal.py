@@ -1,6 +1,7 @@
 """Extremal tree constructions and their certificates."""
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +19,17 @@ from treenullity import (
     verify_certificate,
 )
 from treenullity.extremal import BRANCH_FEW_LEAVES, BRANCH_MANY_LEAVES
-from treenullity.treegraph import from_valid_edges
+from treenullity.treegraph import from_edges, from_valid_edges
 
 FIG_1A = parse_sequence("1,1,1,1,1,1,2,2,3,3,4")
 FIG_1B = parse_sequence("1,1,1,1,2,2,2,2,2,3,3")
 STAR_9 = parse_sequence("1,1,1,1,1,1,1,1,8")
 FIG_2B = DegreeSequence((1,) * 10 + (2, 4, 4, 4, 4))
 FIG_2C = DegreeSequence((1,) * 11 + (3, 3, 3, 3, 3, 4, 4))
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
 
 
 class TestBuildMin:
@@ -162,8 +167,82 @@ class TestVerify:
 
     def test_rank_check_skipped_above_limit(self):
         report = verify_certificate(build_min(FIG_1A), FIG_1A, rank_limit=5)
-        entry = next(c for c in report.checks if c.name == "rank-cross-check")
+        entry = _check(report, "rank-cross-check")
         assert entry.passed and "skipped" in entry.detail
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+    def test_consecutive_distance_2(self, d):
+        # The second connector is replaced by a vertex at distance d from the
+        # first; only d = 2 may pass.
+        cert = build_max(FIG_2B)
+        u = cert.v_k[0]
+        v = min(w for w in range(1, cert.tree.n + 1) if cert.tree.distance(u, w) == d)
+        report = verify_certificate(dataclasses.replace(cert, v_k=(u, v)), FIG_2B)
+        assert _check(report, "v_k-consecutive-distance-2").passed is (d == 2)
+
+    @pytest.mark.parametrize(
+        "forged, failing",
+        [
+            (
+                {"v_k": (0, 7)},
+                {"v_k-internal-increasing", "v_k-consecutive-distance-2",
+                 "v_k-pairwise-even-distance", "internal-edge-identity", "p_k-path"},
+            ),
+            (
+                {"v_k": (4, 99)},
+                {"v_k-internal-increasing", "v_k-consecutive-distance-2",
+                 "v_k-pairwise-even-distance", "internal-edge-identity", "p_k-path"},
+            ),
+            ({"v_mk": 99}, {"l_mk-count", "p_k-path"}),
+            ({"v_mk": 7.0}, {"l_mk-count"}),
+            (
+                {"v_k": ("4", 7)},
+                {"v_k-internal-increasing", "v_k-consecutive-distance-2",
+                 "v_k-pairwise-even-distance", "internal-edge-identity", "p_k-path"},
+            ),
+            (
+                {"v_k": (99,), "omega": 1, "v_mk": 99, "p_k": (99,)},
+                {"v_k-internal-increasing", "v_k-consecutive-distance-2",
+                 "v_k-pairwise-even-distance", "l_mk-count", "internal-edge-identity",
+                 "omega-annihilation-bounds", "p_k-path", "m_k-on-path",
+                 "internal-off-path-leaf-adjacency"},
+            ),
+            (
+                {"v_k": (4, 4)},
+                {"v_k-internal-increasing", "v_k-consecutive-distance-2",
+                 "internal-edge-identity"},
+            ),
+        ],
+    )
+    def test_forged_labels_fail_without_raising(self, forged, failing):
+        cert = build_max(FIG_2B)
+        assert cert.v_k == (4, 7) and cert.v_mk == 7
+        report = verify_certificate(dataclasses.replace(cert, **forged), FIG_2B)
+        assert {c.name for c in report.failures()} == failing
+
+    def test_detects_leafless_internal_vertex_off_path(self):
+        # Hanging a two-edge path at a leaf x makes x internal, off P_K and
+        # without a leaf neighbor; x's old neighbor keeps two other leaves.
+        cert = build_max(FIG_2B)
+        tree = cert.tree
+        n = tree.n
+        x = tree.leaves()[0]
+        planted = from_edges(n + 2, tree.edges + ((x, n + 1), (n + 1, n + 2)))
+        report = verify_certificate(dataclasses.replace(cert, tree=planted), FIG_2B)
+        entry = _check(report, "internal-off-path-leaf-adjacency")
+        assert not entry.passed
+        assert entry.detail == f"off-path violations [{x}]"
+
+    def test_verify_max_is_fast_on_a_long_path(self):
+        # On a path about half the vertices are connectors, so a check that
+        # costs O(n) per V_K pair is quadratic here.
+        s = DegreeSequence((1, 1) + (2,) * (10**5 - 2))
+        cert = build_max(s)
+        start = time.perf_counter()
+        report = verify_certificate(cert, s)
+        elapsed = time.perf_counter() - start
+        assert report.ok, report.failures()
+        assert elapsed < 5.0
 
     def test_report_serializes(self):
         report = verify_certificate(build_max(STAR_9), STAR_9)

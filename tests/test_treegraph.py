@@ -1,5 +1,6 @@
 """Labeled-tree structure, matching, nullity, rank and serialization."""
 
+import itertools
 import random
 
 import pytest
@@ -165,6 +166,16 @@ class TestRank:
             code = tuple(rng.randint(1, n) for _ in range(n - 2))
             t = prufer_decode(code, n)
             assert t.adjacency_rank_exact() == fraction_rank(t)
+
+    def test_every_labeled_tree_up_to_7(self):
+        # One tree per Prüfer code is every labeled tree: 18,248 of them.
+        count = 0
+        for n in range(2, 8):
+            for code in itertools.product(range(1, n + 1), repeat=n - 2):
+                t = prufer_decode(code, n)
+                assert t.adjacency_rank_exact() == fraction_rank(t), t
+                count += 1
+        assert count == 18_248
 
     @given(labeled_trees(max_n=16))
     @settings(max_examples=150, deadline=None)
