@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Exhaustive nullity spectra as ground truth for the closed formulas.
+"""Exact nullity spectra as ground truth for the closed formulas.
 
-Every labeled tree on 1..n corresponds to a Prüfer code of length n - 2, and
-fixing the degree of each vertex fixes the code's symbol multiset.  Walking
-the multiset's permutations in lexicographic order therefore enumerates all
-realizations, and tallying nullities gives the exact spectrum.
+A spectrum counts the realizations of a degree sequence per nullity.  The
+count depends only on how many vertices of each degree there are, so it is
+computed by a dynamic program over count vectors, one count per distinct
+degree, rather than by walking the realizations.  Subtrees are combined
+bottom-up, and the greedy leaf matching tracks the matching number; the
+total always equals Moon's count (n - 2)! / prod (d_i - 1)!.  The test suite
+checks these counts against an enumeration of every Prüfer code.
 
 For every sequence up to length 8 this script compares the spectrum's
 extremes with the closed formulas, and shows where the naive floor(n/2)

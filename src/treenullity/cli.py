@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Iterable
 
 from . import oracle
@@ -139,15 +140,7 @@ def _table(rows: Iterable[tuple[str, object]]) -> str:
 
 
 def _run_validate(s: DegreeSequence, args) -> tuple[dict, str | None]:
-    st = stats(s)
-    payload = {
-        "valid": True,
-        "n": s.n,
-        "degrees": list(s.degrees),
-        "l": st.l,
-        "m": st.m,
-        "a": st.a,
-    }
+    payload = {"valid": True, "n": s.n, "degrees": list(s.degrees), **asdict(stats(s))}
     if args.format == "table":
         return payload, _table(payload.items())
     return payload, None
@@ -194,12 +187,7 @@ def _run_verify(s: DegreeSequence, args) -> tuple[dict, str | None]:
 
 
 def _run_spectrum(s: DegreeSequence, args) -> tuple[dict, str | None]:
-    progress = None
-    if sys.stderr.isatty():  # pragma: no cover - interactive nicety
-        progress = lambda done, total: print(
-            f"  {done}/{total} trees", file=sys.stderr, flush=True
-        )
-    spec = oracle.spectrum(s, cap=args.cap, jobs=args.jobs, progress=progress)
+    spec = oracle.spectrum(s, cap=args.cap, jobs=args.jobs)
     payload = spec.to_json_dict()
     if args.format == "table":
         rows = [("sequence", str(s)), ("total", spec.total)]

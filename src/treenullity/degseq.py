@@ -11,7 +11,7 @@ trees realizing the sequence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from .errors import InvalidDegree, NotTreeSum, ParseError, TooSmall
@@ -95,19 +95,7 @@ class BoundsReport:
     extremal_equal: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "l": self.l,
-            "m": self.m,
-            "a": self.a,
-            "nu_min": self.nu_min,
-            "nu_max": self.nu_max,
-            "nullity_min": self.nullity_min,
-            "nullity_max": self.nullity_max,
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-            "extremal_equal": self.extremal_equal,
-        }
+        return asdict(self)
 
 
 def parse_sequence(text: str) -> DegreeSequence:

@@ -1,20 +1,22 @@
-"""Brute-force ground truth over all labeled trees of a degree sequence.
+"""Exact spectra, and brute-force ground truth, over the labeled trees of
+a degree sequence.
 
-Labeled trees on 1..n are in bijection with Prüfer codes of length n - 2,
-and the trees realizing a fixed degree sequence correspond exactly to the
-arrangements of the multiset that repeats label i exactly d_i - 1 times.
-Enumerating the arrangements in lexicographic order therefore visits every
-realization exactly once, in a deterministic order that can be split into
-contiguous rank ranges for parallel processing.
+Spectra are counted, not enumerated: :func:`spectrum` runs a DP over how
+many vertices of each degree a subtree uses (:func:`_matching_counts`).
+Enumeration stays as the independent oracle.  Labeled trees on 1..n are in
+bijection with Prüfer codes of length n - 2, and the trees realizing a
+fixed degree sequence are the arrangements of the multiset that repeats
+label i exactly d_i - 1 times, walked in lexicographic order by
+:func:`enumerate_trees`, the exhaustive conjecture scan and the tests.
 
-Counts are exact arbitrary-precision integers throughout; nothing here is
-approximate except the optional sampling mode of the conjecture scan, which
-is clearly flagged as such in its report.
+Counts are exact integers throughout; only the sampling mode of the
+conjecture scan is approximate, and its report says so.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import os
 from collections import Counter
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .degseq import DegreeSequence, bounds
-from .errors import EnumerationCapExceeded, LabelOutOfRange
+from .errors import ConstructionInvariantViolated, EnumerationCapExceeded, LabelOutOfRange
 from .treegraph import Edge, LabeledTree, from_valid_edges
 
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -171,34 +173,28 @@ def _next_permutation(a: list[int]) -> bool:
     return True
 
 
-def _arrangements(counts: dict[int, int], length: int) -> int:
-    total = math.factorial(length)
-    for c in counts.values():
-        total //= math.factorial(c)
-    return total
-
-
 def _unrank_permutation(s: DegreeSequence, rank: int) -> list[int]:
-    """The arrangement of the symbol multiset at lexicographic ``rank``."""
-    counts: dict[int, int] = {}
-    for v, d in enumerate(s.degrees, start=1):
-        if d > 1:
-            counts[v] = d - 1
-    length = s.n - 2
+    """The arrangement of the symbol multiset at lexicographic ``rank``.
+
+    Of the ``block`` arrangements of what is left, the share that starts
+    with a symbol of multiplicity c is block * c / (symbols left).
+    """
+    counts = Counter(_symbol_multiset(s))
+    block = count_trees(s)
     out: list[int] = []
-    for pos in range(length):
+    for left in range(s.n - 2, 0, -1):
         for sym in sorted(counts):
-            counts[sym] -= 1
-            block = _arrangements(counts, length - pos - 1)
-            if rank < block:
-                out.append(sym)
-                if counts[sym] == 0:
-                    del counts[sym]
+            share = block * counts[sym] // left
+            if rank < share:
                 break
-            rank -= block
-            counts[sym] += 1
+            rank -= share
         else:  # pragma: no cover - rank past the end
             raise ValueError("rank out of range")
+        out.append(sym)
+        block = share
+        counts[sym] -= 1
+        if not counts[sym]:
+            del counts[sym]
     return out
 
 
@@ -296,13 +292,6 @@ def enumerate_trees(
     return total
 
 
-def _histogram(task: tuple[DegreeSequence, int, int]) -> Counter[int]:
-    """Matching-number histogram over one rank range."""
-    s, start, count = task
-    n = s.n
-    return Counter(_code_nu(code, n) for code in _codes(s, start, count))
-
-
 @dataclass(frozen=True)
 class NullitySpectrum:
     """Exact histograms of nullity and matching number over all labeled
@@ -322,31 +311,89 @@ class NullitySpectrum:
         }
 
 
+def _matching_counts(s: DegreeSequence, total: int) -> dict[int, int]:
+    """Number of labeled trees realizing ``s`` per matching number, counted
+    over count vectors instead of enumerated.
+
+    Labels of one degree are interchangeable, so a count depends only on how
+    many of each degree it uses.  The root is the last vertex (of largest
+    degree); every other vertex roots a planted subtree with degree - 1
+    children.  A state counts the non-leaf labels per degree (mixed-radix
+    index i); m planted trees on it hold m + sum (d - 2) leaves, so leaves
+    need no axis.  ``forests[m][i]`` counts sets of m planted trees: ordered
+    m-tuples, labels split by binomials, divided by m.
+
+    Matching is the greedy rule of :func:`_code_nu`: a root is matched iff
+    some child root is free.  Entries are pairs (all, every root matched) of
+    polynomials in the matching number, each stored as its value at
+    x = 2 ** w.  That map is a ring homomorphism, so sums, products and the
+    exact divisions by m carry over; only the final coefficients must fit in
+    w bits, and none exceeds ``total``, the number of trees.
+    """
+    n = s.n
+    leaves = s.degrees.count(1)
+    types = sorted(set(s.degrees) - {1})
+    top = [s.degrees[:-1].count(d) for d in types]  # all but the root
+    w = total.bit_length()
+    strides = [math.prod(c + 1 for c in top[:j]) for j in range(len(top))]
+    size = math.prod(c + 1 for c in top)
+    vec = [[i // st % (c + 1) for st, c in zip(strides, top)] for i in range(size)]
+    excess = [sum(bj * (d - 2) for bj, d in zip(b, types)) for b in vec]
+    kmax = s.degrees[-1]
+    # The empty forest, and a bare leaf (a free root).
+    forests = [{0: (1, 1)}, {0: (1, 0)}] + [{} for _ in range(kmax - 1)]
+    for i in range(size):
+        b = vec[i]
+        if i and 1 + excess[i] <= leaves:  # a planted tree: label its root
+            tot = mat = 0
+            for j, bj in enumerate(b):
+                if bj:
+                    t, f = forests[types[j] - 1].get(i - strides[j], (0, 0))
+                    tot += bj * (((t - f) << w) + f)
+                    mat += bj * ((t - f) << w)
+            forests[1][i] = (tot, mat)
+        splits = []
+        for a in itertools.product(*(range(bj + 1) for bj in b)):
+            ia = sum(aj * st for aj, st in zip(a, strides))
+            if ia in forests[1]:
+                splits.append((ia, math.prod(map(math.comb, b, a)), forests[1][ia]))
+        for m in range(2, min(kmax, leaves - excess[i]) + 1):
+            tot = mat = 0
+            for ia, split, (qt, qm) in splits:
+                g = forests[m - 1].get(i - ia)
+                if g is not None:
+                    c = split * math.comb(m + excess[i], 1 + excess[ia])
+                    tot += c * qt * g[0]
+                    mat += c * qm * g[1]
+            if tot:
+                forests[m][i] = (tot // m, mat // m)
+    t, f = forests[kmax][size - 1]
+    poly = ((t - f) << w) + f
+    counts = {nu: (poly >> (nu * w)) & ((1 << w) - 1) for nu in range(n // 2 + 1)}
+    return {nu: c for nu, c in counts.items() if c}
+
+
 def spectrum(
     s: DegreeSequence,
     cap: int = DEFAULT_ENUMERATION_CAP,
     jobs: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> NullitySpectrum:
-    """Exhaustive nullity / matching-number histograms for ``s``.
+    """Exact nullity / matching-number histograms for ``s``, counted by
+    :func:`_matching_counts` and checked against Moon's total.
 
-    The lexicographic rank space is cut into contiguous ranges, processed by
-    a fork-based pool of up to ``jobs`` workers (clamped to the CPU count);
-    the merged histograms are identical for every ``jobs`` because addition
-    is order-free.  ``progress`` is called as progress(done, total) after
-    each range, that is, at least every million trees.
+    Classes over ``cap`` trees still raise :class:`EnumerationCapExceeded`.
+    ``jobs`` is accepted and starts no process; ``progress`` is called once,
+    as progress(total, total).
     """
     total = _capped_total(s, cap)
-    workers, ranges = _partition(total, jobs)
-    tasks = [(s, start, count) for start, count in ranges]
-    hist: Counter[int] = Counter()
-    done = 0
-    for (_, count), part in zip(ranges, _fan_out(_histogram, tasks, workers)):
-        hist.update(part)
-        done += count
-        if progress is not None:
-            progress(done, total)
-    by_matching = dict(hist)
+    by_matching = _matching_counts(s, total)
+    if sum(by_matching.values()) != total:
+        raise ConstructionInvariantViolated(
+            f"spectrum counts {sum(by_matching.values())} trees, Moon's formula {total}"
+        )
+    if progress is not None:
+        progress(total, total)
     by_nullity = {s.n - 2 * nu: c for nu, c in by_matching.items()}
     return NullitySpectrum(
         sequence=s.degrees, total=total, by_nullity=by_nullity, by_matching=by_matching

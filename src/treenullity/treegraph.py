@@ -45,23 +45,19 @@ class Matching:
     def size(self) -> int:
         return len(self.edges)
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
     def __iter__(self):
         return iter(self.edges)
 
-    def vertices(self) -> set[int]:
-        return {v for e in self.edges for v in e}
-
     def is_valid_in(self, tree: "LabeledTree") -> bool:
         """Every edge belongs to the tree and no two edges share a vertex."""
-        edge_set = set(tree.edges)
+        n, adj = tree.n, tree._adj
         seen: set[int] = set()
-        for u, v in self.edges:
-            if (u, v) not in edge_set:
-                return False
+        for u, v in self.edges:  # u <= v in normal form
             if u in seen or v in seen:
+                return False
+            if not (isinstance(u, int) and isinstance(v, int) and 1 <= u and v <= n):
+                return False
+            if v not in adj[u]:  # u occurs once, so this is O(deg u)
                 return False
             seen.add(u)
             seen.add(v)

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from treenullity import (
     DegreeSequence,
     LabeledTree,
+    count_trees,
     enumerate_trees,
     prufer_decode,
 )
+from treenullity.oracle import _code_nu, _codes
 
 
 @st.composite
@@ -67,3 +69,9 @@ def slow_matching_histogram(s: DegreeSequence) -> dict[int, int]:
     hist: Counter[int] = Counter()
     enumerate_trees(s, lambda t: hist.update([t.maximum_matching().size]))
     return dict(hist)
+
+
+def code_histogram(s: DegreeSequence) -> dict[int, int]:
+    """Histogram of matching numbers by walking every Prüfer code of ``s``
+    through the fused decode-and-match loop."""
+    return dict(Counter(_code_nu(code, s.n) for code in _codes(s, 0, count_trees(s))))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from conftest import code_histogram
 from treenullity import (
     DegreeSequence,
     bounds,
@@ -75,7 +76,8 @@ def _best_time(fn, repeats: int = 5) -> float:
 
 @dataclass
 class ExhaustiveSweep:
-    spectra: dict  # DegreeSequence -> NullitySpectrum
+    spectra: dict  # DegreeSequence -> NullitySpectrum (counted)
+    enumerated: dict  # DegreeSequence -> {nu: trees}, by walking every Prüfer code
     elapsed: float
     trees_total: int
 
@@ -84,14 +86,19 @@ class ExhaustiveSweep:
 def sweep() -> ExhaustiveSweep:
     t0 = time.perf_counter()
     spectra = {}
+    enumerated = {}
     trees_total = 0
     for n in range(3, 10):
         for s in tree_degree_sequences(n):
             sp = spectrum(s)
             spectra[s] = sp
-            trees_total += sp.total
+            enumerated[s] = code_histogram(s)
+            trees_total += sum(enumerated[s].values())
     return ExhaustiveSweep(
-        spectra=spectra, elapsed=time.perf_counter() - t0, trees_total=trees_total
+        spectra=spectra,
+        enumerated=enumerated,
+        elapsed=time.perf_counter() - t0,
+        trees_total=trees_total,
     )
 
 
@@ -216,6 +223,10 @@ def test_c2_max_builder_fixtures():
 
 
 def test_c3_oracle_equivalence(sweep):
+    # The counted spectra must equal the brute-force enumeration, so that the
+    # extremes below are checked against every tree, not against the DP.
+    mismatched = [s for s, sp in sweep.spectra.items() if sp.by_matching != sweep.enumerated[s]]
+    assert mismatched == []
     exceptions = []
     for s, sp in sweep.spectra.items():
         b = bounds(s)

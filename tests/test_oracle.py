@@ -1,14 +1,16 @@
 """Prüfer bijection, enumeration, spectra, sampling and the conjecture scan."""
 
 import itertools
+import multiprocessing
 import os
 import time
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import degree_sequences, labeled_trees, slow_matching_histogram
+from conftest import code_histogram, degree_sequences, labeled_trees, slow_matching_histogram
 from treenullity import (
+    ConstructionInvariantViolated,
     DegreeSequence,
     EnumerationCapExceeded,
     LabelOutOfRange,
@@ -25,6 +27,7 @@ from treenullity import (
 )
 from treenullity import oracle
 from treenullity.oracle import (
+    _matching_counts,
     _next_permutation,
     _partition,
     _symbol_multiset,
@@ -180,8 +183,49 @@ class TestSpectrum:
             calls = []
             sp = spectrum(s, jobs=jobs, progress=lambda done, total: calls.append((done, total)))
             assert sp == base
-            assert calls[-1] == (sp.total, sp.total)
-            assert [done for done, _ in calls] == sorted({done for done, _ in calls})
+            assert calls == [(sp.total, sp.total)]
+
+    def test_jobs_start_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("spectrum started a process pool")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        s = parse_sequence(FIG_1A)
+        assert spectrum(s, jobs=8) == spectrum(s)
+
+    def test_count_mismatch_is_an_invariant_violation(self, monkeypatch):
+        s = parse_sequence("1,1,1,2,2,3")
+        monkeypatch.setattr(oracle, "_matching_counts", lambda s, total: {2: 6, 3: 5})
+        with pytest.raises(ConstructionInvariantViolated):
+            spectrum(s)
+
+
+class TestCountingDP:
+    """``_matching_counts`` against enumeration and Moon's count."""
+
+    def test_equals_enumeration_up_to_11(self):
+        checked = 0
+        for n in range(2, 12):
+            for s in tree_degree_sequences(n):
+                dp = _matching_counts(s, count_trees(s))
+                assert dp == code_histogram(s), s
+                assert all(c > 0 for c in dp.values()), s
+                checked += 1
+        assert checked == 97  # partitions of 2n - 2 into n parts, n = 2..11
+
+    def test_totals_equal_moon_count(self):
+        for n in range(12, 31):
+            s = random_degree_sequence(n, seed=n)
+            sp = spectrum(s, cap=10**40)
+            assert sp.total == count_trees(s) == sum(sp.by_matching.values())
+            assert all(c > 0 for c in sp.by_matching.values())
+            b = bounds(s)
+            assert min(sp.by_matching) == b.nu_min and max(sp.by_matching) == b.nu_max
+
+    @given(degree_sequences(max_n=9))
+    @settings(max_examples=25, deadline=None)
+    def test_against_leaf_stripping(self, s):
+        assert _matching_counts(s, count_trees(s)) == slow_matching_histogram(s)
 
 
 class TestPartition:

@@ -104,6 +104,23 @@ class TestMatching:
         assert not Matching(((1, 3),)).is_valid_in(t)  # not a tree edge
         assert not Matching(((1, 2), (2, 3))).is_valid_in(t)  # shares vertex 2
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            ((0, 1),),  # label 0
+            ((4, 5),),  # label n + 1
+            ((-1, 4),),  # would wrap around as a list index
+            ((2, 4),),  # not a tree edge
+            ((1, 2), (2, 3)),  # two edges share vertex 2
+            ((1, 2), (1, 2)),  # one edge twice
+            ((2, 3.0),),  # not an integer label
+        ],
+    )
+    def test_forged_matching_is_invalid(self, edges):
+        from treenullity import Matching
+
+        assert Matching(edges).is_valid_in(path(4)) is False
+
     @given(labeled_trees())
     @settings(max_examples=200, deadline=None)
     def test_valid_and_bounded(self, t):
