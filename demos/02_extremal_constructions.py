@@ -9,8 +9,8 @@ the last connector v_mk, how many leaves touch it (l_mk), and the matchings
 M_K, M_J, M_s that witness minimality.
 
 verify_certificate re-derives every claim with independent machinery
-(leaf-stripping matching, exact integer rank, breadth-first distances), so a
-certificate is never taken on faith.
+(greedy leaf-to-parent matching, exact integer rank, breadth-first
+distances), so a certificate is never taken on faith.
 """
 
 from treenullity import (

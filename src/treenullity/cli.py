@@ -187,7 +187,7 @@ def _run_verify(s: DegreeSequence, args) -> tuple[dict, str | None]:
 
 
 def _run_spectrum(s: DegreeSequence, args) -> tuple[dict, str | None]:
-    spec = oracle.spectrum(s, cap=args.cap, jobs=args.jobs)
+    spec = oracle.spectrum(s, cap=args.cap)
     payload = spec.to_json_dict()
     if args.format == "table":
         rows = [("sequence", str(s)), ("total", spec.total)]

@@ -585,26 +585,25 @@ def _verify_max(
             )
         )
 
+    # P_K is read off the adjacency lists, so every member must be a label;
+    # distinct members keep the lookups within O(sum of degrees).
     p_k = cert.p_k
-    edge_set = set(tree.edges)
+    path_labels = all(_is_label(v, tree.n) for v in p_k)
     if omega == 0:
         p_k_ok = p_k == ()
     else:
         p_k_ok = (
             labels_ok
+            and path_labels
             and len(p_k) == 2 * omega - 1
+            and len(set(p_k)) == len(p_k)
             and p_k[0] == v_k[0]
             and p_k[-1] == v_mk
             and set(v_k) <= set(p_k)
-            and all(
-                (min(p_k[i], p_k[i + 1]), max(p_k[i], p_k[i + 1])) in edge_set
-                for i in range(len(p_k) - 1)
-            )
+            and all(b in tree.neighbors(a) for a, b in zip(p_k, p_k[1:]))
         )
     checks.append(CheckResult("p_k-path", p_k_ok, f"{len(p_k)} vertices"))
-    p_k_edges = {
-        (min(p_k[i], p_k[i + 1]), max(p_k[i], p_k[i + 1])) for i in range(len(p_k) - 1)
-    }
+    p_k_edges = {(min(a, b), max(a, b)) for a, b in zip(p_k, p_k[1:])} if path_labels else set()
     checks.append(
         CheckResult(
             "m_k-on-path",

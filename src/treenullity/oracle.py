@@ -15,7 +15,6 @@ conjecture scan is approximate, and its report says so.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import os
@@ -84,32 +83,9 @@ def prufer_decode(code: Sequence[int], n: int) -> LabeledTree:
 
 
 def prufer_encode(tree: LabeledTree) -> PrueferCode:
-    """Inverse of :func:`prufer_decode`: strip the smallest leaf, record its
-    neighbor, repeat until two vertices remain."""
-    n = tree.n
-    if n == 2:
-        return ()
-    deg = [0] * (n + 1)
-    alive = [True] * (n + 1)
-    heap = []
-    for v in range(1, n + 1):
-        deg[v] = tree.degree(v)
-        if deg[v] == 1:
-            heap.append(v)
-    heapq.heapify(heap)
-    code = []
-    for _ in range(n - 2):
-        while True:
-            v = heapq.heappop(heap)
-            if alive[v] and deg[v] == 1:
-                break
-        u = next(w for w in tree.neighbors(v) if alive[w])
-        code.append(u)
-        alive[v] = False
-        deg[u] -= 1
-        if deg[u] == 1:
-            heapq.heappush(heap, u)
-    return tuple(code)
+    """Inverse of :func:`prufer_decode`: the parents met by the tree's
+    elimination walk, all but the last (which is always n)."""
+    return tuple(p for _, p in tree._elimination()[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +192,12 @@ def _codes(s: DegreeSequence, start: int, count: int) -> Iterator[list[int]]:
 def _code_nu(code: Sequence[int], n: int) -> int:
     """Matching number of the tree with this code.
 
-    Fuses the Prüfer decode with the greedy child-to-parent matching pass:
-    decode removes vertices children-first, so matching each removed leaf to
-    its neighbor whenever both are free yields the matching number exactly.
+    The rule of :meth:`LabeledTree.maximum_matching` fused into the decode:
+    decoding walks the same elimination, children-first, and each removed
+    leaf is matched to its parent when both are free.  A leaf still free
+    then hangs by a pendant edge, which some maximum matching contains, so
+    the count is exact.  Fused, not decode-then-match, because sampling
+    calls it once per draw.
     """
     deg = [1] * (n + 1)
     for x in code:
@@ -323,12 +302,16 @@ def _matching_counts(s: DegreeSequence, total: int) -> dict[int, int]:
     need no axis.  ``forests[m][i]`` counts sets of m planted trees: ordered
     m-tuples, labels split by binomials, divided by m.
 
-    Matching is the greedy rule of :func:`_code_nu`: a root is matched iff
-    some child root is free.  Entries are pairs (all, every root matched) of
-    polynomials in the matching number, each stored as its value at
-    x = 2 ** w.  That map is a ring homomorphism, so sums, products and the
-    exact divisions by m carry over; only the final coefficients must fit in
-    w bits, and none exceeds ``total``, the number of trees.
+    Matching is the one rule of :func:`_code_nu` and
+    :meth:`LabeledTree.maximum_matching`, children first, a vertex to its
+    parent when both are free: a root is matched iff some child root is
+    free.  It is exact under any rooting, since a free child hangs by a
+    pendant edge, which some maximum matching contains.  Entries are pairs
+    (all, every root matched) of polynomials in the matching number, each
+    stored as its value at x = 2 ** w.  That map is a ring homomorphism, so
+    sums, products and the exact divisions by m carry over; only the final
+    coefficients must fit in w bits, and none exceeds ``total``, the number
+    of trees.
     """
     n = s.n
     leaves = s.degrees.count(1)
@@ -373,18 +356,11 @@ def _matching_counts(s: DegreeSequence, total: int) -> dict[int, int]:
     return {nu: c for nu, c in counts.items() if c}
 
 
-def spectrum(
-    s: DegreeSequence,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    jobs: int = 1,
-    progress: Callable[[int, int], None] | None = None,
-) -> NullitySpectrum:
+def spectrum(s: DegreeSequence, cap: int = DEFAULT_ENUMERATION_CAP) -> NullitySpectrum:
     """Exact nullity / matching-number histograms for ``s``, counted by
     :func:`_matching_counts` and checked against Moon's total.
 
     Classes over ``cap`` trees still raise :class:`EnumerationCapExceeded`.
-    ``jobs`` is accepted and starts no process; ``progress`` is called once,
-    as progress(total, total).
     """
     total = _capped_total(s, cap)
     by_matching = _matching_counts(s, total)
@@ -392,8 +368,6 @@ def spectrum(
         raise ConstructionInvariantViolated(
             f"spectrum counts {sum(by_matching.values())} trees, Moon's formula {total}"
         )
-    if progress is not None:
-        progress(total, total)
     by_nullity = {s.n - 2 * nu: c for nu, c in by_matching.items()}
     return NullitySpectrum(
         sequence=s.degrees, total=total, by_nullity=by_nullity, by_matching=by_matching

@@ -1,18 +1,23 @@
 """Labeled trees with exact matching, nullity, independence and rank.
 
-Vertices are labeled 1..n.  Every operation is pure and exact: the matching
-number comes from leaf stripping (exact on forests, so no blossom machinery
-is needed), and the adjacency rank comes from elimination over GF(2) on
-integer bitmasks, so no floating-point rank decision is ever made.  For any
-forest the adjacency rank is 2 * nu over every field (deleting a pendant
-vertex and its neighbor lowers the rank by exactly 2 and nu by 1;
-Cvetković–Gutman 1972), so the GF(2) rank equals the rational rank, and it
-is an independent cross-check of the matching code and vice versa.
+Vertices are labeled 1..n.  Every operation is pure and exact.  The
+matching comes from one rule, applied along the Prüfer elimination walk
+(smallest current leaf first, rooted at n): match a leaf to its parent when
+both are free.  Leaves go children-first, so a vertex still free when it
+goes has only its parent edge left, and a pendant edge lies in some maximum
+matching; the rule is exact on trees with no blossom machinery.  The same
+walk yields the Prüfer code.
+
+The adjacency rank comes from elimination over GF(2) on integer bitmasks,
+so no floating-point rank decision is ever made.  For any forest the
+adjacency rank is 2 * nu over every field (deleting a pendant vertex and
+its neighbor lowers the rank by exactly 2 and nu by 1; Cvetković–Gutman
+1972), so the GF(2) rank equals the rational rank, and it is an independent
+cross-check of the matching code and vice versa.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -80,7 +85,8 @@ class LabeledTree:
                     raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        # canon is sorted with u < v, so every list was filled in ascending order
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
         if not _validated:
             self._validate()
 
@@ -148,44 +154,61 @@ class LabeledTree:
     def degree_multiset(self) -> DegreeSequence:
         return DegreeSequence(tuple(len(self._adj[v]) for v in range(1, self.n + 1)))
 
-    def maximum_matching(self) -> Matching:
-        """Maximum matching by repeated leaf matching.
+    def _elimination(self) -> list[Edge]:
+        """The (leaf, parent) pairs of the Prüfer elimination, in order.
 
-        The current leaf with the smallest label is matched to its unique
-        neighbor, both are removed, and the process repeats over the
-        resulting forest.  Exact on forests; deterministic because leaves are
-        always taken in ascending label order.
+        Rooted at n, the vertex of smallest label with no children left goes
+        next, paired with its parent (its neighbor toward n, read off the
+        ``_bfs(n)`` distances); the last pair is (leaf, n).  This is the walk
+        :func:`treenullity.oracle._decode_edges` makes on the tree's Prüfer
+        code, pair for pair, in linear time: a removal can make only its
+        parent a leaf, and one below the pointer is taken at once.
         """
         n = self.n
-        deg = [0] * (n + 1)
-        alive = [True] * (n + 1)
-        adj = self._adj
-        heap: list[int] = []
-        for v in range(1, n + 1):
-            deg[v] = len(adj[v])
-            if deg[v] == 1:
-                heap.append(v)
-        heapq.heapify(heap)
+        if n < 2:
+            return []
+        dist = self._bfs(n)
+        parent = [0] * (n + 1)
+        for u, v in self.edges:
+            if dist[u] < dist[v]:
+                parent[v] = u
+            else:
+                parent[u] = v
+        kids = [len(a) - 1 for a in self._adj]  # children left; n has no parent
+        kids[n] += 1
+        ptr = 1
+        while kids[ptr]:
+            ptr += 1
+        leaf = ptr
+        pairs: list[Edge] = []
+        for _ in range(n - 2):
+            p = parent[leaf]
+            pairs.append((leaf, p))
+            kids[p] -= 1
+            if p < ptr and not kids[p]:
+                leaf = p
+            else:
+                ptr += 1
+                while kids[ptr]:
+                    ptr += 1
+                leaf = ptr
+        pairs.append((leaf, n))
+        return pairs
+
+    def maximum_matching(self) -> Matching:
+        """Maximum matching: along :meth:`_elimination`, each leaf is
+        matched to its parent when both are free.
+
+        Exact on trees: all children of a leaf have gone before it, so if it
+        is still free its parent edge is pendant in what is left, and some
+        maximum matching of that forest contains a given pendant edge.
+        """
+        covered = bytearray(self.n + 1)
         matched: list[Edge] = []
-        while heap:
-            v = heapq.heappop(heap)
-            if not alive[v] or deg[v] != 1:
-                continue
-            partner = 0
-            for u in adj[v]:
-                if alive[u]:
-                    partner = u
-                    break
-            if partner == 0:
-                continue
-            matched.append((min(v, partner), max(v, partner)))
-            alive[v] = False
-            alive[partner] = False
-            for w in adj[partner]:
-                if alive[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        heapq.heappush(heap, w)
+        for v, p in self._elimination():
+            if not (covered[v] or covered[p]):
+                covered[v] = covered[p] = 1
+                matched.append((v, p))
         return Matching(tuple(matched))
 
     def nullity(self) -> int:

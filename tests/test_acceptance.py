@@ -544,9 +544,9 @@ def test_c9_property_suites(sweep):
     # Partitioned enumeration equals the single-threaded run.
     for text in ("1,1,1,1,2,2,2,2,2,3,3", "1,1,2,2,2,2,2,2"):
         s = parse_sequence(text)
-        base = spectrum(s, jobs=1)
-        assert spectrum(s, jobs=3) == base
-        assert spectrum(s, jobs=8) == base
+        base = conjecture_scan(s, jobs=1)
+        assert conjecture_scan(s, jobs=3) == base
+        assert conjecture_scan(s, jobs=8) == base
 
     _report(9, "property suites", extra=f"{checked} exhaustive round trips")
 

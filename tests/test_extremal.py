@@ -212,11 +212,17 @@ class TestVerify:
                 {"v_k-internal-increasing", "v_k-consecutive-distance-2",
                  "internal-edge-identity"},
             ),
+            # P_K is (4, 14, 7); a middle that is not a label has no edges.
+            ({"p_k": (4, 14.0, 7)}, {"p_k-path", "m_k-on-path"}),
+            ({"p_k": (4, 0, 7)}, {"p_k-path", "m_k-on-path"}),
+            ({"p_k": (4, -1, 7)}, {"p_k-path", "m_k-on-path"}),
+            ({"p_k": (4, 16, 7)}, {"p_k-path", "m_k-on-path"}),
+            ({"p_k": (4, "14", 7)}, {"p_k-path", "m_k-on-path"}),
         ],
     )
     def test_forged_labels_fail_without_raising(self, forged, failing):
         cert = build_max(FIG_2B)
-        assert cert.v_k == (4, 7) and cert.v_mk == 7
+        assert cert.v_k == (4, 7) and cert.v_mk == 7 and cert.p_k == (4, 14, 7)
         report = verify_certificate(dataclasses.replace(cert, **forged), FIG_2B)
         assert {c.name for c in report.failures()} == failing
 

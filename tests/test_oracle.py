@@ -14,6 +14,7 @@ from treenullity import (
     DegreeSequence,
     EnumerationCapExceeded,
     LabelOutOfRange,
+    Matching,
     bounds,
     conjecture_scan,
     count_trees,
@@ -25,8 +26,9 @@ from treenullity import (
     spectrum,
     tree_degree_sequences,
 )
-from treenullity import oracle
+from treenullity import cli, oracle
 from treenullity.oracle import (
+    _decode_edges,
     _matching_counts,
     _next_permutation,
     _partition,
@@ -60,9 +62,20 @@ class TestPrufer:
             prufer_decode((1, 2), 3)
 
     def test_exhaustive_round_trip_small(self):
-        for n in range(2, 7):
+        for n in range(2, 8):
             for code in itertools.product(range(1, n + 1), repeat=n - 2):
                 assert prufer_encode(prufer_decode(code, n)) == code
+
+    def test_matching_is_the_greedy_along_the_decode(self):
+        # maximum_matching walks its own tree; the decode walks the code.
+        for n in range(2, 8):
+            for code in itertools.product(range(1, n + 1), repeat=n - 2):
+                covered, greedy = set(), []
+                for u, v in _decode_edges(code, n):
+                    if u not in covered and v not in covered:
+                        covered |= {u, v}
+                        greedy.append((u, v))
+                assert prufer_decode(code, n).maximum_matching() == Matching(tuple(greedy))
 
     def test_degrees_match_symbol_counts(self):
         code = (7, 3, 3, 9, 1, 7, 7)
@@ -160,13 +173,6 @@ class TestSpectrum:
         assert sp.by_matching == slow_matching_histogram(s)
         assert sum(sp.by_nullity.values()) == sp.total == count_trees(s)
 
-    def test_jobs_invariance(self):
-        for text in ("1,1,1,1,2,2,2,2,2,3,3", "1,1,2,2,2,2,2,2"):
-            s = parse_sequence(text)
-            base = spectrum(s, jobs=1)
-            for jobs in (2, 3, 7):
-                assert spectrum(s, jobs=jobs) == base
-
     def test_cap_check_stops_early(self):
         # (n - 2)! has about 1.5 million bits here; the cap check must not build it.
         n = 100_000
@@ -176,22 +182,15 @@ class TestSpectrum:
             spectrum(s)
         assert time.perf_counter() - start < 1
 
-    def test_progress_chunks_match(self):
-        s = parse_sequence("1,1,1,1,2,2,2,2,2,3,3")
-        base = spectrum(s)
-        for jobs in (1, 2):
-            calls = []
-            sp = spectrum(s, jobs=jobs, progress=lambda done, total: calls.append((done, total)))
-            assert sp == base
-            assert calls == [(sp.total, sp.total)]
-
-    def test_jobs_start_no_pool(self, monkeypatch):
+    def test_jobs_start_no_pool(self, monkeypatch, capsys):
         def no_pool(*args, **kwargs):
             raise AssertionError("spectrum started a process pool")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-        s = parse_sequence(FIG_1A)
-        assert spectrum(s, jobs=8) == spectrum(s)
+        assert cli.run(["spectrum", FIG_1A, "--jobs", "8"]) == 0
+        with_jobs = capsys.readouterr()
+        assert cli.run(["spectrum", FIG_1A]) == 0
+        assert capsys.readouterr() == with_jobs
 
     def test_count_mismatch_is_an_invariant_violation(self, monkeypatch):
         s = parse_sequence("1,1,1,2,2,3")
@@ -250,13 +249,11 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("text", ["1,1,1,1,2,2,2,2,2,3,3", FIG_1A])
     def test_small_chunks_match_unchunked(self, text, monkeypatch):
         s = parse_sequence(text)
-        base_spectrum = spectrum(s)
         base_scan = conjecture_scan(s)
         base_sampling = conjecture_scan(s, cap=10, samples=2500, seed=4)
         monkeypatch.setattr(oracle, "_CHUNK", 1000)
         assert len(_partition(count_trees(s), 1)[1]) > 10
         for jobs in (1, 2, 3):
-            assert spectrum(s, jobs=jobs) == base_spectrum
             assert conjecture_scan(s, jobs=jobs) == base_scan
             assert conjecture_scan(s, cap=10, samples=2500, seed=4, jobs=jobs) == base_sampling
 

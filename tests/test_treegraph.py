@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis.strategies import randoms
 
 from conftest import fraction_rank, labeled_trees
 from treenullity import (
@@ -17,6 +19,7 @@ from treenullity import (
     from_edges,
     parse_edge_list,
     prufer_decode,
+    prufer_encode,
     stats,
 )
 
@@ -36,6 +39,18 @@ FIG_1A_EDGES = [
 
 
 class TestConstruction:
+    @given(labeled_trees(max_n=20), randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_neighbors_ascending(self, t, rng):
+        # Edges in any order and orientation give the same ascending lists.
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
+        rng.shuffle(edges)
+        rebuilt = from_edges(t.n, edges)
+        assert rebuilt == t
+        for v in range(1, t.n + 1):
+            nbrs = rebuilt.neighbors(v)
+            assert list(nbrs) == sorted(nbrs) and nbrs == t.neighbors(v)
+
     def test_single_edge(self):
         t = from_edges(2, [(1, 2)])
         assert t.edges == ((1, 2),)
@@ -135,6 +150,21 @@ class TestMatching:
         assert t.independence_number() <= st.a
         assert t.nullity() <= 2 * st.a - n
 
+    @pytest.mark.parametrize("shape", ["path", "near-star"])
+    def test_large_trees_are_fast(self, shape):
+        # A near-star: center 1, joined to n through n - 1.
+        n = 10**5
+        if shape == "path":
+            t, nu = path(n), n // 2
+        else:
+            t, nu = from_edges(n, [(1, v) for v in range(2, n)] + [(n - 1, n)]), 2
+        start = time.perf_counter()
+        assert t.maximum_matching().size == nu
+        assert time.perf_counter() - start < 5.0
+        start = time.perf_counter()
+        assert len(prufer_encode(t)) == n - 2
+        assert time.perf_counter() - start < 5.0
+
 
 class TestNullityIndependence:
     def test_path_3(self):
@@ -186,11 +216,16 @@ class TestRank:
 
     def test_every_labeled_tree_up_to_7(self):
         # One tree per Prüfer code is every labeled tree: 18,248 of them.
+        # The rational rank is independent of both the GF(2) rank and the
+        # elimination walk behind maximum_matching.
         count = 0
         for n in range(2, 8):
             for code in itertools.product(range(1, n + 1), repeat=n - 2):
                 t = prufer_decode(code, n)
-                assert t.adjacency_rank_exact() == fraction_rank(t), t
+                rank = fraction_rank(t)
+                assert t.adjacency_rank_exact() == rank, t
+                m = t.maximum_matching()
+                assert 2 * m.size == rank and m.is_valid_in(t), t
                 count += 1
         assert count == 18_248
 
