@@ -39,22 +39,33 @@ _MASK64 = (1 << 64) - 1
 # ---------------------------------------------------------------------------
 
 
-def _decode_edges(code: Sequence[int], n: int) -> list[Edge]:
-    """Edges of the unique tree with this code (labels assumed valid).
+def _code_nu(code: Sequence[int], deg: Sequence[int]) -> tuple[int, list[int]]:
+    """Matching number of the tree with this code, and its leaf column.
 
-    Pointer variant of the classic decode: the smallest current leaf is
-    joined to the next code symbol; the final leaf is joined to n.
+    ``deg[v]`` is the degree of label v (entry 0 unused), which the code
+    fixes; callers that walk many codes of one sequence build it once.  The
+    walk is the pointer variant of the classic decode: the smallest current
+    leaf, ``leaves[k]``, is joined to ``code[k]``, and the final leaf to n.
+    Along it each removed leaf is matched to its parent when both are free,
+    the rule of :meth:`LabeledTree.maximum_matching`.  Leaves go
+    children-first, so a leaf still free then hangs by a pendant edge,
+    which some maximum matching contains, and the count is exact.
     """
-    deg = [1] * (n + 1)
-    for x in code:
-        deg[x] += 1
+    n = len(deg) - 1
+    deg = list(deg)
+    matched = [False] * (n + 1)
+    leaves: list[int] = []
+    push = leaves.append
+    nu = 0
     ptr = 1
     while deg[ptr] != 1:
         ptr += 1
     leaf = ptr
-    edges: list[Edge] = []
     for x in code:
-        edges.append((leaf, x) if leaf < x else (x, leaf))
+        push(leaf)
+        if not (matched[leaf] or matched[x]):
+            matched[leaf] = matched[x] = True
+            nu += 1
         deg[x] -= 1
         if x < ptr and deg[x] == 1:
             leaf = x
@@ -63,8 +74,26 @@ def _decode_edges(code: Sequence[int], n: int) -> list[Edge]:
             while deg[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n))
+    push(leaf)
+    if not (matched[leaf] or matched[n]):
+        nu += 1
+    return nu, leaves
+
+
+def _column_edges(code: Sequence[int], leaves: Sequence[int]) -> list[Edge]:
+    """The decode's edges, in walk order, from the leaf column of
+    :func:`_code_nu`: ``leaves[k]`` with ``code[k]``, the last leaf with n."""
+    edges = [(a, x) if a < x else (x, a) for a, x in zip(leaves, code)]
+    edges.append((leaves[-1], len(code) + 2))
     return edges
+
+
+def _decode_edges(code: Sequence[int], n: int) -> list[Edge]:
+    """Edges of the unique tree with this code (labels assumed valid)."""
+    deg = [1] * (n + 1)
+    for x in code:
+        deg[x] += 1
+    return _column_edges(code, _code_nu(code, deg)[1])
 
 
 def prufer_decode(code: Sequence[int], n: int) -> LabeledTree:
@@ -187,43 +216,6 @@ def _codes(s: DegreeSequence, start: int, count: int) -> Iterator[list[int]]:
     for _ in range(count - 1):
         _next_permutation(sym)
         yield sym
-
-
-def _code_nu(code: Sequence[int], n: int) -> int:
-    """Matching number of the tree with this code.
-
-    The rule of :meth:`LabeledTree.maximum_matching` fused into the decode:
-    decoding walks the same elimination, children-first, and each removed
-    leaf is matched to its parent when both are free.  A leaf still free
-    then hangs by a pendant edge, which some maximum matching contains, so
-    the count is exact.  Fused, not decode-then-match, because sampling
-    calls it once per draw.
-    """
-    deg = [1] * (n + 1)
-    for x in code:
-        deg[x] += 1
-    matched = bytearray(n + 1)
-    nu = 0
-    ptr = 1
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for x in code:
-        if not matched[leaf] and not matched[x]:
-            matched[leaf] = 1
-            matched[x] = 1
-            nu += 1
-        deg[x] -= 1
-        if x < ptr and deg[x] == 1:
-            leaf = x
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    if not matched[leaf] and not matched[n]:
-        nu += 1
-    return nu
 
 
 _CHUNK = 1_000_000  # longest rank range handed to one task
@@ -379,13 +371,21 @@ def spectrum(s: DegreeSequence, cap: int = DEFAULT_ENUMERATION_CAP) -> NullitySp
 # ---------------------------------------------------------------------------
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# Every rejection limit floor(2^64 / b) * b with b <= 2^32 lies above this.
+_ACCEPTED_BELOW = 0xFFFFFFFF00000000
+
+
 class _SplitMix64:
     """SplitMix64 stream; fixed here so seeds mean the same thing everywhere.
 
     state' = state + 0x9E3779B97F4A7C15 (mod 2^64); the output mixes state'
     by xor-shift-multiply with the constants below.  Bounded draws use
     rejection below the largest multiple of the bound, so they are exactly
-    uniform.
+    uniform.  :class:`_ShuffleLanes` computes the same outputs for a whole
+    shuffle at once; this scalar stream is its reference and its fallback.
     """
 
     __slots__ = ("state",)
@@ -394,10 +394,10 @@ class _SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
@@ -410,18 +410,81 @@ class _SplitMix64:
                 return r % bound
 
 
-def _shuffled_symbols(s: DegreeSequence, seed: int) -> list[int]:
-    """Fisher-Yates shuffle of the symbol multiset, driven by SplitMix64.
+class _ShuffleLanes:
+    """The SplitMix64 outputs a shuffle of ``size`` symbols draws, mixed in
+    one pass over big-int lanes.
+
+    Lane t is bits 128t .. 128t + 127 of one int; its low half holds the
+    state of draw t, seed + (t + 1) * gamma mod 2^64, and its high half is
+    zero.  A 64 x 64-bit product fits in 128 bits, so a multiply never
+    carries into the next lane.  A right shift pulls the next lane's low
+    bits into the high half, so every xor-shift is masked back to the low
+    64 bits before the next multiply, and every product after it.  The
+    per-size constants (the step lanes, the low-half mask and the ones
+    vector) are built from bytes in linear time.
+    """
+
+    __slots__ = ("count", "ones", "low", "steps")
+
+    def __init__(self, size: int):
+        self.count = count = max(size - 1, 0)
+        self.ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+        self.low = int.from_bytes((b"\xff" * 8 + bytes(8)) * count, "little")
+        # Lane t holds (t + 1) * gamma unreduced, below 2^127 for any count
+        # below 2^63; the first mask in :meth:`outputs` reduces it mod 2^64.
+        multiples = itertools.accumulate(itertools.repeat(_GAMMA, count))
+        chunks = map(int.to_bytes, multiples, itertools.repeat(16), itertools.repeat("little"))
+        self.steps = int.from_bytes(b"".join(chunks), "little")
+
+    def outputs(self, seed: int) -> list[int]:
+        """The first ``count`` outputs of ``_SplitMix64(seed)``.  The last
+        xor-shift is not masked: only the low halves are read out."""
+        low = self.low
+        z = ((seed & _MASK64) * self.ones + self.steps) & low
+        z = (((z ^ (z >> 30)) & low) * _MIX1) & low
+        z = (((z ^ (z >> 27)) & low) * _MIX2) & low
+        z ^= z >> 31
+        return memoryview(z.to_bytes(16 * self.count, "little")).cast("Q")[::2].tolist()
+
+
+def _shuffled(base: list[int], lanes: _ShuffleLanes, seed: int) -> list[int]:
+    """Fisher-Yates shuffle of a copy of ``base``, driven by SplitMix64.
 
     Descending index i = len-1 .. 1, j = draw below i + 1, swap a[i], a[j].
-    A uniform arrangement of the multiset is a uniform labeled tree.
+    ``lanes`` must be built for ``len(base)`` symbols.  The draws' outputs
+    come from :meth:`_ShuffleLanes.outputs`, and an output r accepted under
+    bound i + 1 gives j = r % (i + 1).  A draw is rejected only at or above
+    its limit, and every limit of a bound up to 2^32 lies above
+    ``_ACCEPTED_BELOW``.  So while no output reaches that, no draw is
+    rejected; otherwise the shuffle replays on the scalar stream.  Either
+    way the result is bit for bit the scalar shuffle's, rejections included.
     """
-    sym = _symbol_multiset(s)
-    rng = _SplitMix64(seed)
-    for i in range(len(sym) - 1, 0, -1):
-        j = rng.below(i + 1)
+    sym = base[:]
+    draws = lanes.outputs(seed)
+    if draws and max(draws) >= _ACCEPTED_BELOW:
+        rng = _SplitMix64(seed)
+        draws = [rng.below(i + 1) for i in range(len(sym) - 1, 0, -1)]
+    for i, r in zip(range(len(sym) - 1, 0, -1), draws):
+        j = r % (i + 1)
         sym[i], sym[j] = sym[j], sym[i]
     return sym
+
+
+def _shuffled_symbols(s: DegreeSequence, seed: int) -> list[int]:
+    """The symbol multiset of ``s``, shuffled by :func:`_shuffled` from
+    ``seed``.  A uniform arrangement of the multiset is a uniform labeled
+    tree.
+
+    The swaps' SplitMix64 outputs are mixed together, one 128-bit lane of a
+    single int per draw (:class:`_ShuffleLanes`), with every xor-shift
+    masked back to the low 64 bits before the next multiply.  A draw can be
+    rejected only by an output within 2^32 of 2^64; when one comes up, the
+    shuffle replays on the scalar :class:`_SplitMix64` stream.  So a seed
+    gives the arrangement of one scalar bounded draw per swap, as it always
+    has.
+    """
+    sym = _symbol_multiset(s)
+    return _shuffled(sym, _ShuffleLanes(len(sym)), seed)
 
 
 def random_tree(s: DegreeSequence, seed: int) -> LabeledTree:
@@ -498,17 +561,19 @@ def _first_witnesses(
     """First witness per target over one range: enumeration ranks when
     ``seed`` is None, otherwise sample indices."""
     s, start, count, targets, seed = task
-    n = s.n
     if seed is None:
         codes = _codes(s, start, count)
     else:
-        codes = (_shuffled_symbols(s, (seed + i) & _MASK64) for i in range(start, start + count))
+        base = _symbol_multiset(s)
+        lanes = _ShuffleLanes(len(base))
+        codes = (_shuffled(base, lanes, seed + i) for i in range(start, start + count))
+    deg = [0, *s.degrees]
     missing = set(targets)
     found: dict[int, tuple[Edge, ...]] = {}
     for code in codes:
-        nu = _code_nu(code, n)
+        nu, leaves = _code_nu(code, deg)
         if nu in missing:
-            found[nu] = tuple(sorted(_decode_edges(code, n)))
+            found[nu] = tuple(sorted(_column_edges(code, leaves)))
             missing.discard(nu)
             if not missing:
                 break

@@ -76,15 +76,19 @@ class LabeledTree:
 
     def __init__(self, n: int, edges: Iterable[Edge], _validated: bool = False):
         object.__setattr__(self, "n", n)
-        canon = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-        object.__setattr__(self, "edges", canon)
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        for u, v in canon:
-            if not _validated:
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
-            adj[u].append(v)
-            adj[v].append(u)
+        # A label that is no int fails in the sort or as a list index.
+        try:
+            canon = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+            for u, v in canon:
+                if not _validated:
+                    if not (1 <= u <= n and 1 <= v <= n):
+                        raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
+                adj[u].append(v)
+                adj[v].append(u)
+        except TypeError:
+            raise LabelOutOfRange(f"edges must be pairs of integer labels in 1..{n}") from None
+        object.__setattr__(self, "edges", canon)
         # canon is sorted with u < v, so every list was filled in ascending order
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
         if not _validated:

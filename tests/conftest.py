@@ -77,4 +77,5 @@ def slow_matching_histogram(s: DegreeSequence) -> dict[int, int]:
 def code_histogram(s: DegreeSequence) -> dict[int, int]:
     """Histogram of matching numbers by walking every Prüfer code of ``s``
     through the fused decode-and-match loop."""
-    return dict(Counter(_code_nu(code, s.n) for code in _codes(s, 0, count_trees(s))))
+    deg = [0, *s.degrees]
+    return dict(Counter(_code_nu(code, deg)[0] for code in _codes(s, 0, count_trees(s))))

@@ -1,5 +1,6 @@
 """Prüfer bijection, enumeration, spectra, sampling and the conjecture scan."""
 
+import hashlib
 import itertools
 import multiprocessing
 import os
@@ -7,6 +8,7 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import code_histogram, degree_sequences, labeled_trees, slow_matching_histogram
 from treenullity import (
@@ -32,6 +34,10 @@ from treenullity.oracle import (
     _matching_counts,
     _next_permutation,
     _partition,
+    _shuffled,
+    _shuffled_symbols,
+    _ShuffleLanes,
+    _SplitMix64,
     _symbol_multiset,
     _unrank_permutation,
     random_degree_sequence,
@@ -307,6 +313,147 @@ class TestRandomTree:
             assert sum(s.degrees) == 2 * n - 2
 
 
+def _sha(values) -> str:
+    return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
+
+
+class TestSeedStream:
+    """Seeds keep their meaning: draws recorded from the scalar shuffle
+    (one ``_SplitMix64.below`` call per swap) that the lane kernel replaced."""
+
+    SEEDS = (0, 1, 2**63, 2**64 - 1)
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (2, [[]] * 4),
+            (3, [[3]] * 4),
+            (4, [[3, 4], [3, 4], [3, 4], [4, 3]]),
+            (60, [
+                "712aac9cb99888aedd1fec26d09c29308bdea1fd113941358f9144426d7f159d",
+                "5c896ec7fcca5b0426b275cc570811750b652df972683ccee41a5c0704ccc102",
+                "fd4ef8c16043cb6829b412de8e4a9d8a8ca7b17c74b2382d42a086e533ff9240",
+                "28d4faff11ca54b674980518459428d5b822d8bc7016ea862af044744a7eec7f",
+            ]),
+            (3000, [
+                "67ab6c46ca7f8d8a96b1059040d363cdd31701ae3474e1c32355ecf9700acd93",
+                "e59c69070ca652a667acff10fb203faf6a41c2a93fe23da02cbce2d3629a41ef",
+                "68cda501b1be911247d87dba5a56c6bf0045f44f5d214ec858a5768e0a42ef8f",
+                "52c041d9a28366fa959a81ffe3ab7630ad06885e2ae42404f78ef55ae25ebb26",
+            ]),
+        ],
+    )
+    def test_shuffled_symbols(self, n, expected):
+        s = random_degree_sequence(n, seed=n)
+        for seed, want in zip(self.SEEDS, expected):
+            sym = _shuffled_symbols(s, seed)
+            assert (sym if n <= 4 else _sha(sym)) == want
+
+    @pytest.mark.parametrize(
+        "n, flags, digest",
+        [
+            (
+                60,
+                ["--seed", "7"],
+                "90d471642fc6e0bc3409e4a7f899384252e3ce44c99a83c297ee1b2b3600460a",
+            ),
+            (
+                300,
+                ["--seed", "-1"],
+                "a2667d3b2bc93dea95e1edeef636b8bc400aa1f2cf6ff4942448b381aee16c5c",
+            ),
+            (
+                3000,
+                ["--seed", "3", "--jobs", "2"],
+                "6c53d19ccebc3cfaaf52e064a320dd1069f25385a175db6aaebe5998150438d6",
+            ),
+        ],
+    )
+    def test_conjecture_stdout(self, n, flags, digest, capsys):
+        text = ",".join(map(str, random_degree_sequence(n, seed=n).degrees))
+        assert cli.run(["conjecture", text, "--samples", "16", *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def _scalar_shuffle(base: list[int], seed: int) -> list[int]:
+    """Reference Fisher-Yates: one scalar bounded draw per swap."""
+    sym = list(base)
+    rng = _SplitMix64(seed)
+    for i in range(len(sym) - 1, 0, -1):
+        j = rng.below(i + 1)
+        sym[i], sym[j] = sym[j], sym[i]
+    return sym
+
+
+def _seed_with_first_output(out: int) -> int:
+    """The seed whose first SplitMix64 output is ``out``: each xor-shift of
+    the finalizer is undone by iterating it, each multiply by the inverse of
+    its constant mod 2^64, and the first step by subtracting gamma."""
+    mask = (1 << 64) - 1
+
+    def unshift(z, k):
+        x = z
+        for _ in range(64 // k + 1):
+            x = z ^ (x >> k)
+        return x
+
+    z = unshift(out, 31)
+    z = unshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask, 27)
+    z = unshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask, 30)
+    return (z - 0x9E3779B97F4A7C15) & mask
+
+
+def _draws_taken(seed: int, size: int) -> int:
+    """How many outputs the scalar shuffle of ``size`` symbols consumes."""
+    rng = _SplitMix64(seed)
+    for i in range(size - 1, 0, -1):
+        rng.below(i + 1)
+    return ((rng.state - seed) * pow(0x9E3779B97F4A7C15, -1, 1 << 64)) % (1 << 64)
+
+
+class TestShuffleLanes:
+    def test_outputs_equal_the_scalar_stream(self):
+        for size in (0, 1, 2, 3, 17, 200):
+            for seed in (0, 1, 12345, 2**63, 2**64 - 1, -1, 2**64 + 5):
+                rng = _SplitMix64(seed)
+                want = [rng.next_u64() for _ in range(size - 1)]
+                assert _ShuffleLanes(size).outputs(seed) == want
+
+    @pytest.mark.parametrize("size, out", [(3, 2**64 - 1), (7, 2**64 - 2)])
+    def test_rejected_first_draw(self, size, out):
+        # The first bound, ``size``, rejects ``out`` (2^64 mod 3 = 1 and
+        # 2^64 mod 7 = 2), so the scalar shuffle draws once more than it swaps.
+        seed = _seed_with_first_output(out)
+        assert _SplitMix64(seed).next_u64() == out
+        assert out >= (1 << 64) // size * size
+        assert _ShuffleLanes(size).outputs(seed)[0] == out
+        assert _draws_taken(seed, size) == size
+        base = list(range(size))
+        assert _shuffled(base, _ShuffleLanes(size), seed) == _scalar_shuffle(base, seed)
+
+    def test_accepted_draw_in_the_fallback_zone(self):
+        seed = _seed_with_first_output(0xFFFFFFFF00000000)
+        assert _SplitMix64(seed).below(3) == 0xFFFFFFFF00000000 % 3
+        assert _draws_taken(seed, 3) == 2
+        assert _shuffled([1, 2, 3], _ShuffleLanes(3), seed) == _scalar_shuffle([1, 2, 3], seed)
+
+    def test_every_short_length(self):
+        for size in range(71):
+            lanes = _ShuffleLanes(size)
+            base = list(range(size))
+            for seed in range(50):
+                seed = seed * 0x9E3779B97F4A7C15 + size
+                assert _shuffled(base, lanes, seed) == _scalar_shuffle(base, seed)
+
+    @given(st.integers(0, 400), st.integers(-(2**65), 2**65))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scalar(self, size, seed):
+        base = [1 + i % 7 for i in range(size)]
+        assert _shuffled(base, _ShuffleLanes(size), seed) == _scalar_shuffle(base, seed)
+
+
 class TestConjectureScan:
     def test_full_interval(self):
         from treenullity import from_edges
@@ -340,6 +487,13 @@ class TestConjectureScan:
         sampling_base = conjecture_scan(s, cap=10, samples=64, seed=3)
         for jobs in (2, 5):
             assert conjecture_scan(s, cap=10, samples=64, seed=3, jobs=jobs) == sampling_base
+
+    def test_large_sampling_scan_is_fast(self):
+        s = random_degree_sequence(10**5, seed=1)
+        start = time.perf_counter()
+        scan = conjecture_scan(s, cap=0, samples=4)
+        assert time.perf_counter() - start < 10.0
+        assert not scan.exhaustive and sum(e is not None for e in scan.witnesses.values()) >= 1
 
     def test_json_shape(self):
         d = conjecture_scan(parse_sequence("1,1,1,2,3")).to_json_dict()

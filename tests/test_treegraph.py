@@ -74,6 +74,11 @@ class TestConstruction:
         with pytest.raises(LabelOutOfRange):
             from_edges(3, [(1, 2), (2, 4)])
 
+    @pytest.mark.parametrize("label", [2.0, "2", None])
+    def test_label_not_an_int(self, label):
+        with pytest.raises(LabelOutOfRange):
+            from_edges(3, [(1, label), (label, 3)])
+
     def test_immutable(self):
         t = path(3)
         with pytest.raises(AttributeError):
