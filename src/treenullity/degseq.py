@@ -26,16 +26,24 @@ class DegreeSequence:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted(self.degrees))
+        # No per-degree type check: a str fails in the sort or the sum, and
+        # a float, Fraction or Decimal entry makes the sum no int.
+        try:
+            canon = tuple(sorted(self.degrees))
+            total = sum(canon)
+        except TypeError:
+            raise InvalidDegree("degrees must be integers") from None
         object.__setattr__(self, "degrees", canon)
         n = len(canon)
         if n < 2:
             raise TooSmall(f"need at least 2 degrees, got {n}")
+        if not isinstance(total, int):
+            raise InvalidDegree("degrees must be integers")
         if canon[0] < 1:
             raise InvalidDegree(f"degree {canon[0]} < 1")
-        if sum(canon) != 2 * n - 2:
+        if total != 2 * n - 2:
             raise NotTreeSum(
-                f"degrees sum to {sum(canon)}, a tree on {n} vertices needs {2 * n - 2}"
+                f"degrees sum to {total}, a tree on {n} vertices needs {2 * n - 2}"
             )
 
     @property

@@ -19,7 +19,7 @@ class ParseError(InputError):
 
 
 class InvalidDegree(InputError):
-    """A degree entry smaller than 1."""
+    """A degree entry that is no int, or one smaller than 1."""
 
 
 class NotTreeSum(InputError):

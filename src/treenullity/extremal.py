@@ -40,6 +40,7 @@ from .treegraph import (
     Edge,
     LabeledTree,
     Matching,
+    _is_label,
     from_edges,
 )
 
@@ -218,20 +219,6 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
     to private leaves) and at most one leaf of v_mk has size n - a(s).
     """
     n = s.n
-    if n == 2:
-        tree = from_edges(2, [(1, 2)])
-        return MaxCertificate(
-            tree=tree,
-            v_k=(),
-            omega=0,
-            v_mk=None,
-            l_mk=0,
-            p_k=(),
-            m_k=Matching(()),
-            m_j=Matching(()),
-            m_s=Matching(((1, 2),)),
-        )
-
     d = (0,) + s.degrees
     st = stats(s)
     l, a = st.l, st.a
@@ -253,7 +240,7 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
         dc = d[bottom]
         bottom += 1
         frontier = [h - 1 - x for x in range(dc - 1)]
-        edges.extend((c, f) if c < f else (f, c) for f in frontier)
+        edges.extend((c, f) for f in frontier)
         placed += dc - 1
         if placed == n:
             break
@@ -262,7 +249,7 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
             dj = d[top]
             top -= 1
             children = list(range(k + 1, k + dj))
-            edges.extend((vj, ch) if vj < ch else (ch, vj) for ch in children)
+            edges.extend((vj, ch) for ch in children)
             placed += dj - 1
             k += dj - 1
             last_processed = vj
@@ -306,12 +293,12 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
         for u in v_j:
             leaf = min((w for w in tree.neighbors(u) if tree.degree(w) == 1), default=0)
             _require(leaf > 0, f"build_max: off-path internal vertex {u} lacks a leaf")
-            m_j_edges.append((min(u, leaf), max(u, leaf)))
+            m_j_edges.append((u, leaf))
         m_j = Matching(tuple(m_j_edges))
         m_s_edges = list(m_k.edges) + list(m_j.edges)
         if l_mk > 0:
             u = min(leaf_neighbors)
-            m_s_edges.append((min(u, v_mk), max(u, v_mk)))
+            m_s_edges.append((u, v_mk))
         m_s = Matching(tuple(m_s_edges))
 
     expected_nu = n - a
@@ -390,10 +377,6 @@ def internal_leaf_adjacency_violations(
     return tuple(out)
 
 
-def _is_label(v, n: int) -> bool:
-    return isinstance(v, int) and 1 <= v <= n
-
-
 def _revalidated(tree: LabeledTree) -> tuple[bool, str]:
     try:
         from_edges(tree.n, tree.edges)
@@ -462,7 +445,7 @@ def _verify_min(
     )
     if checks[0].passed:
         n, l = s.n, b.l
-        leafy = n == 2 or l >= (n + 1) // 2
+        leafy = l >= (n + 1) // 2
         checks.append(
             CheckResult(
                 "branch-condition",
@@ -477,7 +460,8 @@ def _verify_min(
                 (u, v) for u, v in cert.tree.edges if u in block_set and v in block_set
             ]
             is_path = (
-                len(block) == n - 2 * l
+                all(_is_label(v, cert.tree.n) for v in block)
+                and len(block) == n - 2 * l
                 and len(induced) == len(block) - 1
                 and set(induced)
                 == {

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 from .degseq import DegreeSequence, bounds
 from .errors import ConstructionInvariantViolated, EnumerationCapExceeded, LabelOutOfRange
-from .treegraph import Edge, LabeledTree, from_valid_edges
+from .treegraph import Edge, LabeledTree, _is_label
 
 DEFAULT_ENUMERATION_CAP = 10**8
 DEFAULT_SAMPLE_BUDGET = 10_000
@@ -101,14 +101,14 @@ def prufer_decode(code: Sequence[int], n: int) -> LabeledTree:
 
     Vertex i ends up with degree (occurrences of i in the code) + 1.
     """
-    if n < 2:
-        raise LabelOutOfRange(f"need n >= 2, got {n}")
+    if not (isinstance(n, int) and n >= 2):
+        raise LabelOutOfRange(f"need an int n >= 2, got {n!r}")
     if len(code) != n - 2:
         raise LabelOutOfRange(f"code length {len(code)} != n - 2 = {n - 2}")
     for x in code:
-        if not (1 <= x <= n):
-            raise LabelOutOfRange(f"code symbol {x} outside 1..{n}")
-    return from_valid_edges(n, _decode_edges(code, n))
+        if not _is_label(x, n):
+            raise LabelOutOfRange(f"code symbol {x!r} outside 1..{n}")
+    return LabeledTree(n, _decode_edges(code, n))
 
 
 def prufer_encode(tree: LabeledTree) -> PrueferCode:
@@ -259,7 +259,7 @@ def enumerate_trees(
     total = _capped_total(s, cap)
     n = s.n
     for code in _codes(s, 0, total):
-        visitor(from_valid_edges(n, _decode_edges(code, n)))
+        visitor(LabeledTree(n, _decode_edges(code, n)))
     return total
 
 
@@ -493,7 +493,7 @@ def random_tree(s: DegreeSequence, seed: int) -> LabeledTree:
     Reproducible per seed; see :func:`_shuffled_symbols` for the exact
     shuffle contract.
     """
-    return from_valid_edges(s.n, _decode_edges(_shuffled_symbols(s, seed), s.n))
+    return LabeledTree(s.n, _decode_edges(_shuffled_symbols(s, seed), s.n))
 
 
 def random_degree_sequence(n: int, seed: int) -> DegreeSequence:
@@ -542,10 +542,7 @@ class ConjectureScan:
             "nu_min": self.nu_min,
             "nu_max": self.nu_max,
             "mode": "exhaustive" if self.exhaustive else "sampling",
-            "witnesses": {
-                str(k): (None if e is None else [list(p) for p in e])
-                for k, e in sorted(self.witnesses.items())
-            },
+            "witnesses": {str(k): e for k, e in sorted(self.witnesses.items())},
             "gaps": list(self.gaps),
             "complete": self.complete,
         }

@@ -1,6 +1,9 @@
 """Labeled trees with exact matching, nullity, independence and rank.
 
-Vertices are labeled 1..n.  Every operation is pure and exact.  The
+Vertices are labeled 1..n.  Every tree is validated on construction, and
+one rule, :func:`_is_label`, decides what a label is: an int in 1..n.
+Anything else, as an edge end, a vertex argument or a Prüfer symbol, raises
+:class:`LabelOutOfRange`.  Every operation is pure and exact.  The
 matching comes from one rule, applied along the Prüfer elimination walk
 (smallest current leaf first, rooted at n): match a leaf to its parent when
 both are free.  Leaves go children-first, so a vertex still free when it
@@ -19,7 +22,7 @@ cross-check of the matching code and vice versa.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .degseq import DegreeSequence
 from .errors import (
@@ -34,6 +37,11 @@ from .errors import (
 DEFAULT_RANK_LIMIT = 64
 
 Edge = tuple[int, int]
+
+
+def _is_label(v, n: int) -> bool:
+    """The one label rule: ``v`` is a vertex of a tree on 1..n."""
+    return isinstance(v, int) and 1 <= v <= n
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,7 @@ class Matching:
         for u, v in self.edges:  # u <= v in normal form
             if u in seen or v in seen:
                 return False
-            if not (isinstance(u, int) and isinstance(v, int) and 1 <= u and v <= n):
+            if not (_is_label(u, n) and _is_label(v, n)):
                 return False
             if v not in adj[u]:  # u occurs once, so this is O(deg u)
                 return False
@@ -74,16 +82,18 @@ class LabeledTree:
 
     __slots__ = ("n", "edges", "_adj")
 
-    def __init__(self, n: int, edges: Iterable[Edge], _validated: bool = False):
+    def __init__(self, n: int, edges: Iterable[Edge]):
+        if not isinstance(n, int):
+            raise LabelOutOfRange(f"vertex count must be an int, got {n!r}")
         object.__setattr__(self, "n", n)
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        # A label that is no int fails in the sort or as a list index.
+        # This is _is_label at no cost per edge: a label that is no int fails
+        # in the sort or as a list index.
         try:
             canon = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
             for u, v in canon:
-                if not _validated:
-                    if not (1 <= u <= n and 1 <= v <= n):
-                        raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
+                if not (1 <= u and v <= n):
+                    raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
                 adj[u].append(v)
                 adj[v].append(u)
         except TypeError:
@@ -91,8 +101,7 @@ class LabeledTree:
         object.__setattr__(self, "edges", canon)
         # canon is sorted with u < v, so every list was filled in ascending order
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
-        if not _validated:
-            self._validate()
+        self._validate()
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LabeledTree is immutable")
@@ -150,8 +159,8 @@ class LabeledTree:
         return tuple(v for v in range(1, self.n + 1) if len(self._adj[v]) == 1)
 
     def _check_label(self, v: int) -> None:
-        if not (1 <= v <= self.n):
-            raise LabelOutOfRange(f"label {v} outside 1..{self.n}")
+        if not _is_label(v, self.n):
+            raise LabelOutOfRange(f"label {v!r} outside 1..{self.n}")
 
     # -- derived quantities --------------------------------------------------
 
@@ -287,11 +296,6 @@ class LabeledTree:
 def from_edges(n: int, pairs: Iterable[Edge]) -> LabeledTree:
     """Validated tree from an edge list over labels 1..n."""
     return LabeledTree(n, pairs)
-
-
-def from_valid_edges(n: int, pairs: Sequence[Edge]) -> LabeledTree:
-    """Construction fast path for edges already known to form a tree."""
-    return LabeledTree(n, pairs, _validated=True)
 
 
 def parse_edge_list(text: str) -> LabeledTree:

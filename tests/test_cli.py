@@ -1,12 +1,13 @@
 """CLI behavior: output schemas, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from treenullity import parse_edge_list, parse_sequence, spectrum
+from treenullity import parse_edge_list, parse_sequence, random_degree_sequence, spectrum
 from treenullity.cli import run
 
 FIG_1A = "1,1,1,1,1,1,2,2,3,3,4"
@@ -225,3 +226,56 @@ def test_spectrum_cli_matches_library(capsys):
     s = parse_sequence("1,1,1,2,2,3")
     code, out, _ = invoke(capsys, "spectrum", "1,1,1,2,2,3")
     assert json.loads(out) == spectrum(s).to_json_dict()
+
+
+# Every command below runs on each golden sequence; one SHA-256 per sequence
+# covers the exit code, stdout and stderr of all of them, in this order.
+GOLDEN_COMMANDS = (
+    ("validate",),
+    ("validate", "--format", "table"),
+    ("bounds",),
+    ("bounds", "--format", "table"),
+    *(
+        ("construct", mode, "--format", fmt)
+        for mode in ("--min", "--max")
+        for fmt in ("json", "table", "edges", "dot")
+    ),
+    ("verify",),
+    ("verify", "--format", "table"),
+    ("verify", "--rank-limit", "200"),
+    ("spectrum",),
+    ("spectrum", "--format", "table"),
+)
+
+GOLDEN_SEQUENCES = {
+    "fig1a": FIG_1A,
+    "two-internal-3s": "1,1,1,1,2,2,2,2,2,3,3",
+    "near-path": "1,1,2,2,2,2,2,2",
+    "star": "1,1,1,1,1,1,1,1,8",
+    "fig2b": "1,1,1,1,1,1,1,1,1,1,2,4,4,4,4",
+    "single-edge": "1,1",
+    "few-leaves": "1,1,1,2,2,2,2,2,3",
+    "random-153": str(random_degree_sequence(153, seed=153)),
+}
+
+GOLDEN_DIGESTS = {
+    "few-leaves": "c889a8fef9d498eeb81717f68c79c0352aa909adb51e8160173e6bbdc4ebfa22",
+    "fig1a": "dfe31d74795db34748df1f20f452e1421c4161163e50d02b8355836f3d2f8838",
+    "fig2b": "2ccecbd03f3fb113f9c5124391c00d0ac28ea350de05557ba110d55726b81e0f",
+    "near-path": "989e979997e4854464ac531f323c46a9a629b75ca193e684ad54a73f3eee917d",
+    "random-153": "75ff99ad8f102d773c52207a761759901eba5644387950e39b58ecbd13d024fe",
+    "single-edge": "d2ef12e9b7f19929c5138be472fd94333fb0e9a1e2eddd4718fb11eb3e09d310",
+    "star": "9dc98d220e718e1f4eeff2534f9c1c8c77bddacbbee1db81088e5b7cdb999b48",
+    "two-internal-3s": "8beb51780f6d0d0b9440ac2af6d974ec52dba4d0d35095e4bd0ac571c9ddb810",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEQUENCES))
+def test_golden_outputs(capsys, name):
+    """Exit code, stdout and stderr of every command above, byte for byte."""
+    text = GOLDEN_SEQUENCES[name]
+    digest = hashlib.sha256()
+    for command in GOLDEN_COMMANDS:
+        code, out, err = invoke(capsys, command[0], text, *command[1:])
+        digest.update(f"{' '.join(command)}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == GOLDEN_DIGESTS[name]

@@ -1,5 +1,8 @@
 """Degree sequence parsing, stats and the closed-formula bounds."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -40,6 +43,15 @@ class TestParse:
     def test_invalid_degree(self):
         with pytest.raises(InvalidDegree):
             parse_sequence("0,2,1,1")
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [(1.5, 1.5, 1), (1, 1, 2.0), (1, 1, Fraction(2)), (1, 1, Decimal(2)),
+         (1, 1, "2"), ("1", "1"), (None, None)],
+    )
+    def test_non_int_degree(self, degrees):
+        with pytest.raises(InvalidDegree):
+            DegreeSequence(degrees)
 
     def test_parse_error(self):
         with pytest.raises(ParseError):

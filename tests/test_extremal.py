@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from treenullity import (
     verify_certificate,
 )
 from treenullity.extremal import BRANCH_FEW_LEAVES, BRANCH_MANY_LEAVES
-from treenullity.treegraph import from_edges, from_valid_edges
+from treenullity.treegraph import from_edges
 
 FIG_1A = parse_sequence("1,1,1,1,1,1,2,2,3,3,4")
 FIG_1B = parse_sequence("1,1,1,1,2,2,2,2,2,3,3")
@@ -142,7 +143,8 @@ class TestVerify:
 
     def test_detects_deleted_edge(self):
         cert = build_min(FIG_1A)
-        broken = from_valid_edges(cert.tree.n, cert.tree.edges[1:])
+        # Outside input may carry any object as its tree.
+        broken = types.SimpleNamespace(n=cert.tree.n, edges=cert.tree.edges[1:])
         report = verify_certificate(dataclasses.replace(cert, tree=broken), FIG_1A)
         assert not report.ok
         assert report.checks[0].name == "tree-structure"
@@ -225,6 +227,16 @@ class TestVerify:
         assert cert.v_k == (4, 7) and cert.v_mk == 7 and cert.p_k == (4, 14, 7)
         report = verify_certificate(dataclasses.replace(cert, **forged), FIG_2B)
         assert {c.name for c in report.failures()} == failing
+
+    @pytest.mark.parametrize(
+        "block", [(4.0, 5.0, 6.0), (4, "5", 6), (0, 5, 6), (4, 5, 10)],
+    )
+    def test_forged_path_block_fails_without_raising(self, block):
+        s = parse_sequence("1,1,1,2,2,2,2,2,3")
+        cert = build_min(s)
+        assert cert.path_block == (4, 5, 6) and verify_certificate(cert, s).ok
+        report = verify_certificate(dataclasses.replace(cert, path_block=block), s)
+        assert {c.name for c in report.failures()} == {"path-block"}
 
     def test_detects_leafless_internal_vertex_off_path(self):
         # Hanging a two-edge path at a leaf x makes x internal, off P_K and

@@ -22,6 +22,7 @@ from treenullity import (
     prufer_encode,
     stats,
 )
+from treenullity.treegraph import Matching, _is_label
 
 
 def path(n):
@@ -83,6 +84,40 @@ class TestConstruction:
         t = path(3)
         with pytest.raises(AttributeError):
             t.n = 5
+
+
+class TestLabelRule:
+    """Every way a label gets in agrees with ``_is_label``: 2 is a label of
+    a tree on 1..3, and each other value raises LabelOutOfRange."""
+
+    @pytest.mark.parametrize(
+        "x, ok", [(2, True), (2.0, False), ("2", False), (None, False),
+                  (0, False), (4, False), (-1, False)],
+    )
+    def test_entry_points(self, x, ok):
+        assert _is_label(x, 3) is ok
+        t = path(3)
+        entry_points = [
+            lambda: from_edges(3, [(1, x), (x, 3)]),
+            lambda: t.degree(x),
+            lambda: t.neighbors(x),
+            lambda: t.distance(1, x),
+            lambda: prufer_decode((x,), 3),
+        ]
+        for call in entry_points:
+            if ok:
+                call()
+            else:
+                with pytest.raises(LabelOutOfRange):
+                    call()
+        if x is not None and not isinstance(x, str):
+            assert Matching(((1, x),)).is_valid_in(t) is ok
+
+    def test_vertex_count_not_an_int(self):
+        with pytest.raises(LabelOutOfRange):
+            from_edges(3.0, [(1, 2), (2, 3)])
+        with pytest.raises(LabelOutOfRange):
+            prufer_decode((2,), 3.0)
 
 
 class TestDegreeMultiset:
