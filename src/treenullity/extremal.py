@@ -114,7 +114,7 @@ def _finish_tree(n: int, edges: list[Edge], s: DegreeSequence, what: str) -> Lab
     except InputError as exc:
         raise ConstructionInvariantViolated(f"{what}: bad edge set ({exc})") from exc
     _require(
-        tree.degree_multiset().degrees == s.degrees,
+        tuple(sorted(map(len, tree._adj[1:]))) == s.degrees,
         f"{what}: degree multiset mismatch",
     )
     return tree
@@ -271,8 +271,8 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
         m_j = Matching(())
         m_s = Matching(((1, n),))
     else:
-        v_mk = connectors[-1]
-        leaf_neighbors = [u for u in tree.neighbors(v_mk) if tree.degree(u) == 1]
+        v_mk, adj = connectors[-1], tree._adj
+        leaf_neighbors = [u for u in adj[v_mk] if len(adj[u]) == 1]
         l_mk = len(leaf_neighbors)
         _require(len(middles) == omega - 1, "build_max: connector path bookkeeping broke")
         p_k_list: list[int] = []
@@ -285,13 +285,13 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
         on_path = set(p_k)
         v_j: list[int] = []
         for c in connectors:
-            for u in tree.neighbors(c):
-                if u not in on_path and tree.degree(u) > 1:
+            for u in adj[c]:
+                if u not in on_path and len(adj[u]) > 1:
                     v_j.append(u)
         v_j = sorted(set(v_j))
         m_j_edges: list[Edge] = []
         for u in v_j:
-            leaf = min((w for w in tree.neighbors(u) if tree.degree(w) == 1), default=0)
+            leaf = min((w for w in adj[u] if len(adj[w]) == 1), default=0)
             _require(leaf > 0, f"build_max: off-path internal vertex {u} lacks a leaf")
             m_j_edges.append((u, leaf))
         m_j = Matching(tuple(m_j_edges))
@@ -368,16 +368,17 @@ def internal_leaf_adjacency_violations(
     ``(tree, v_k)`` pair it is simply every leafless internal vertex
     outside ``v_k``, wherever it lies.
     """
-    members = set(v_k)
+    members, adj = set(v_k), tree._adj
     out = []
     for v in range(1, tree.n + 1):
-        if tree.degree(v) > 1 and v not in members:
-            if not any(tree.degree(u) == 1 for u in tree.neighbors(v)):
+        if len(adj[v]) > 1 and v not in members:
+            if not any(len(adj[u]) == 1 for u in adj[v]):
                 out.append(v)
     return tuple(out)
 
 
 def _revalidated(tree: LabeledTree) -> tuple[bool, str]:
+    """Rebuild ``tree``: the one check that catches a duck-typed or rewritten tree."""
     try:
         from_edges(tree.n, tree.edges)
     except InputError as exc:

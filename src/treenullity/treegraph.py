@@ -51,7 +51,10 @@ class Matching:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
+        try:
+            canon = tuple(sorted([(u, v) if u <= v else (v, u) for u, v in self.edges]))
+        except (TypeError, ValueError):
+            raise LabelOutOfRange("matching edges must be pairs of integer labels") from None
         object.__setattr__(self, "edges", canon)
 
     @property
@@ -65,12 +68,10 @@ class Matching:
         """Every edge belongs to the tree and no two edges share a vertex."""
         n, adj = tree.n, tree._adj
         seen: set[int] = set()
-        for u, v in self.edges:  # u <= v in normal form
-            if u in seen or v in seen:
+        for u, v in self.edges:  # the label rule on both ends, as u <= v
+            if not (isinstance(u, int) and isinstance(v, int) and 1 <= u <= v <= n):
                 return False
-            if not (_is_label(u, n) and _is_label(v, n)):
-                return False
-            if v not in adj[u]:  # u occurs once, so this is O(deg u)
+            if u in seen or v in seen or v not in adj[u]:  # O(deg u): u occurs once
                 return False
             seen.add(u)
             seen.add(v)
@@ -80,28 +81,32 @@ class Matching:
 class LabeledTree:
     """Immutable labeled tree on vertices 1..n stored as an edge set."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_matching")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if not isinstance(n, int):
             raise LabelOutOfRange(f"vertex count must be an int, got {n!r}")
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_matching", None)
         adj: list[list[int]] = [[] for _ in range(n + 1)]
+        loops = False
         # This is _is_label at no cost per edge: a label that is no int fails
-        # in the sort or as a list index.
+        # in the sort or as a list index, and an edge that is no pair unpacking.
         try:
-            canon = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+            canon = sorted([(u, v) if u <= v else (v, u) for u, v in edges])
             for u, v in canon:
-                if not (1 <= u and v <= n):
-                    raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
+                if not (1 <= u < v <= n):
+                    if not (1 <= u and v <= n):
+                        raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
+                    loops = True
                 adj[u].append(v)
                 adj[v].append(u)
-        except TypeError:
+        except (TypeError, ValueError):
             raise LabelOutOfRange(f"edges must be pairs of integer labels in 1..{n}") from None
-        object.__setattr__(self, "edges", canon)
-        # canon is sorted with u < v, so every list was filled in ascending order
+        object.__setattr__(self, "edges", tuple(canon))
+        # canon is sorted with u <= v, so every list was filled in ascending order
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
-        self._validate()
+        self._validate(loops)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LabeledTree is immutable")
@@ -119,9 +124,9 @@ class LabeledTree:
     def __repr__(self) -> str:
         return f"LabeledTree(n={self.n}, edges={list(self.edges)})"
 
-    def _validate(self) -> None:
+    def _validate(self, loops: bool) -> None:
         n = self.n
-        if len(set(self.edges)) != len(self.edges) or any(u == v for u, v in self.edges):
+        if loops or len(set(self.edges)) != len(self.edges):
             raise LoopOrDuplicate("loops or repeated edges are not allowed")
         if len(self.edges) != n - 1:
             raise WrongEdgeCount(f"{len(self.edges)} edges, a tree on {n} vertices has {n - 1}")
@@ -214,15 +219,18 @@ class LabeledTree:
 
         Exact on trees: all children of a leaf have gone before it, so if it
         is still free its parent edge is pendant in what is left, and some
-        maximum matching of that forest contains a given pendant edge.
+        maximum matching of that forest contains a given pendant edge.  The
+        tree is immutable, so the result is memoised on it.
         """
-        covered = bytearray(self.n + 1)
-        matched: list[Edge] = []
-        for v, p in self._elimination():
-            if not (covered[v] or covered[p]):
-                covered[v] = covered[p] = 1
-                matched.append((v, p))
-        return Matching(tuple(matched))
+        if self._matching is None:
+            covered = bytearray(self.n + 1)
+            matched: list[Edge] = []
+            for v, p in self._elimination():
+                if not (covered[v] or covered[p]):
+                    covered[v] = covered[p] = 1
+                    matched.append((v, p))
+            object.__setattr__(self, "_matching", Matching(tuple(matched)))
+        return self._matching
 
     def nullity(self) -> int:
         """Multiplicity of the zero eigenvalue: n - 2 * nu for trees."""

@@ -16,7 +16,9 @@ from treenullity import (
     build_min,
     internal_leaf_adjacency_violations,
     parse_sequence,
+    random_degree_sequence,
     stats,
+    tree_degree_sequences,
     verify_certificate,
 )
 from treenullity.extremal import BRANCH_FEW_LEAVES, BRANCH_MANY_LEAVES
@@ -261,6 +263,29 @@ class TestVerify:
         elapsed = time.perf_counter() - start
         assert report.ok, report.failures()
         assert elapsed < 5.0
+
+    def test_cached_matching_gives_the_same_report(self):
+        # The builders leave nu memoised on their trees (build_min's n = 2
+        # shortcut computes none); a rebuilt tree has none, so verify computes
+        # it afresh and must say the same.
+        sequences = [s for n in range(2, 13) for s in tree_degree_sequences(n)]
+        sequences += [random_degree_sequence(2 + seed % 199, seed) for seed in range(200)]
+        for s in sequences:
+            for cert in (build_min(s), build_max(s)):
+                rebuilt = dataclasses.replace(cert, tree=from_edges(cert.tree.n, cert.tree.edges))
+                assert (cert.tree._matching is not None or s.n == 2)
+                assert rebuilt.tree._matching is None
+                report = verify_certificate(cert, s).to_json_dict()
+                assert report == verify_certificate(rebuilt, s).to_json_dict()
+                assert report["ok"]
+
+    def test_rewritten_tree_slot_fails_the_rebuild(self):
+        cert = build_min(FIG_1A)
+        tree = from_edges(cert.tree.n, cert.tree.edges)
+        object.__setattr__(tree, "edges", tree.edges[1:])
+        report = verify_certificate(dataclasses.replace(cert, tree=tree), FIG_1A)
+        assert report.checks[0].name == "tree-structure"
+        assert report.checks[0].detail == "WrongEdgeCount"
 
     def test_report_serializes(self):
         report = verify_certificate(build_max(STAR_9), STAR_9)

@@ -75,6 +75,23 @@ class TestConstruction:
         with pytest.raises(LabelOutOfRange):
             from_edges(3, [(1, 2), (2, 4)])
 
+    @pytest.mark.parametrize(
+        "n, edges, error",
+        [
+            (3, [(1, 1), (2, 9)], LabelOutOfRange),  # a range error outranks a loop
+            (3, [(1, 2), (1, 2), (2, 3)], LoopOrDuplicate),  # outranks the edge count
+            (2, [(1, 1)], LoopOrDuplicate),  # one edge, the right count, but a loop
+        ],
+    )
+    def test_error_precedence(self, n, edges, error):
+        with pytest.raises(error):
+            from_edges(n, edges)
+
+    @pytest.mark.parametrize("bad", [(1, 2, 3), (1,)])
+    def test_edge_not_a_pair(self, bad):
+        with pytest.raises(LabelOutOfRange, match="edges must be pairs"):
+            from_edges(3, [bad, (2, 3)])
+
     @pytest.mark.parametrize("label", [2.0, "2", None])
     def test_label_not_an_int(self, label):
         with pytest.raises(LabelOutOfRange):
@@ -151,6 +168,19 @@ class TestMatching:
         t = prufer_decode((3, 3, 5, 5), 6)
         assert t.maximum_matching() == t.maximum_matching()
 
+    def test_memoised_on_the_tree(self):
+        t = prufer_decode((3, 3, 5, 5), 6)
+        fresh = prufer_decode((3, 3, 5, 5), 6)
+        assert t.maximum_matching() is t.maximum_matching()
+        # Equality and hashing see only n and the edges, not the cached matching.
+        assert t == fresh and hash(t) == hash(fresh)
+        assert fresh.maximum_matching() == t.maximum_matching()
+
+    @pytest.mark.parametrize("edges", [((1, "2"),), ((1, 2, 3),), ((1,),), ((1, None),)])
+    def test_normal_form_follows_the_label_rule(self, edges):
+        with pytest.raises(LabelOutOfRange):
+            Matching(edges)
+
     def test_validity_predicate(self):
         from treenullity import Matching
 
@@ -169,12 +199,20 @@ class TestMatching:
             ((1, 2), (2, 3)),  # two edges share vertex 2
             ((1, 2), (1, 2)),  # one edge twice
             ((2, 3.0),),  # not an integer label
+            ((2.0, 3.0),),  # no integer label at all
+            (("2", "3"),),  # strings
+            (([2], [3]),),  # unhashable, so it must fail before the seen-set test
+            ((2, 2),),  # a loop
+            ((1, 2), (3, 4.0)),  # a bad label after a good edge
         ],
     )
     def test_forged_matching_is_invalid(self, edges):
-        from treenullity import Matching
-
         assert Matching(edges).is_valid_in(path(4)) is False
+
+    def test_bool_label_keeps_its_verdict(self):
+        # bool is an int, so True names vertex 1.
+        assert Matching(((True, 2),)).is_valid_in(path(4)) is True
+        assert Matching(((True, 3),)).is_valid_in(path(4)) is False
 
     @given(labeled_trees())
     @settings(max_examples=200, deadline=None)
