@@ -3,7 +3,8 @@
 Subcommands: validate, bounds, construct, verify, spectrum, conjecture.
 Sequences come inline or from a file (one per line, ``#`` comments ignored;
 batch runs emit one JSON object per line).  Identical invocations produce
-byte-identical output; seeds default to 0, never to the clock.
+byte-identical output; seeds default to 0, never to the clock.  One parser
+is built per process, and :func:`run` may be called again and again.
 
 Exit codes: 0 success, 1 invalid input, 2 cap or size limit exceeded,
 3 internal invariant violation (including a failing verify report).  Errors
@@ -13,6 +14,7 @@ are reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -58,6 +60,7 @@ def _at_least(low: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="treenullity",

@@ -60,7 +60,7 @@ class DegreeSequence:
         return self.degrees[i]
 
     def __str__(self) -> str:
-        return ",".join(str(d) for d in self.degrees)
+        return ",".join(map(str, self.degrees))
 
 
 @dataclass(frozen=True)

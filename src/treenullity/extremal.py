@@ -501,6 +501,7 @@ def _verify_max(
     # A forged certificate may name labels that are not vertices of the tree;
     # every check that reads a V_K or v_mk label fails on them, never raises.
     labels_ok = all(_is_label(v, tree.n) for v in v_k)
+    adj = tree._adj  # read only behind a label guard
     checks.append(
         CheckResult(
             "omega-counts-v_k",
@@ -512,7 +513,7 @@ def _verify_max(
         CheckResult(
             "v_k-internal-increasing",
             labels_ok
-            and all(tree.degree(v) > 1 for v in v_k)
+            and all(len(adj[v]) > 1 for v in v_k)
             and all(v_k[i] < v_k[i + 1] for i in range(len(v_k) - 1)),
             f"v_k = {list(v_k)}",
         )
@@ -520,7 +521,7 @@ def _verify_max(
     # Distinct tree vertices are at distance 2 exactly when they share a
     # neighbor (they cannot also be adjacent: a tree has no triangle).  Each
     # member is in at most two pairs, so this costs O(sum of degrees).
-    around = [set(tree.neighbors(v)) for v in v_k] if labels_ok else []
+    around = [set(adj[v]) for v in v_k] if labels_ok else []
     consec = labels_ok and all(
         v_k[i] != v_k[i + 1] and not around[i].isdisjoint(around[i + 1])
         for i in range(len(v_k) - 1)
@@ -538,9 +539,7 @@ def _verify_max(
     if v_mk is not None and not _is_label(v_mk, tree.n):
         checks.append(CheckResult("l_mk-count", False, f"v_mk = {v_mk!r} not in 1..{tree.n}"))
     else:
-        actual_l_mk = 0 if v_mk is None else sum(
-            1 for u in tree.neighbors(v_mk) if tree.degree(u) == 1
-        )
+        actual_l_mk = 0 if v_mk is None else sum(1 for u in adj[v_mk] if len(adj[u]) == 1)
         checks.append(
             CheckResult(
                 "l_mk-count", cert.l_mk == actual_l_mk, f"{cert.l_mk} vs {actual_l_mk}"
@@ -553,7 +552,7 @@ def _verify_max(
     else:
         lhs = n - 1 - l
         if labels_ok:
-            rhs = -cert.l_mk + sum(tree.degree(v) for v in v_k)
+            rhs = -cert.l_mk + sum(len(adj[v]) for v in v_k)
             identity = CheckResult("internal-edge-identity", lhs == rhs, f"n-1-l = {lhs}, "
                                    f"-l_mk + sum deg(v_k) = {rhs}")
         else:
@@ -585,7 +584,7 @@ def _verify_max(
             and p_k[0] == v_k[0]
             and p_k[-1] == v_mk
             and set(v_k) <= set(p_k)
-            and all(b in tree.neighbors(a) for a, b in zip(p_k, p_k[1:]))
+            and all(b in adj[a] for a, b in zip(p_k, p_k[1:]))
         )
     checks.append(CheckResult("p_k-path", p_k_ok, f"{len(p_k)} vertices"))
     p_k_edges = {(min(a, b), max(a, b)) for a, b in zip(p_k, p_k[1:])} if path_labels else set()

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from treenullity import parse_edge_list, parse_sequence, random_degree_sequence, spectrum
+from treenullity import cli, parse_edge_list, parse_sequence, random_degree_sequence, spectrum
 from treenullity.cli import run
 
 FIG_1A = "1,1,1,1,1,1,2,2,3,3,4"
@@ -279,3 +279,74 @@ def test_golden_outputs(capsys, name):
         code, out, err = invoke(capsys, command[0], text, *command[1:])
         digest.update(f"{' '.join(command)}\0{code}\0{out}\0{err}\0".encode())
     assert digest.hexdigest() == GOLDEN_DIGESTS[name]
+
+
+# Each golden sequence with n <= 11 runs exhaustively; fig1a and random-153
+# also run the sampler.  Every run is taken in json and in table format.
+GOLDEN_CONJECTURE_EXHAUSTIVE = ("fig1a", "two-internal-3s", "near-path", "star",
+                                "single-edge", "few-leaves")
+GOLDEN_CONJECTURE_SAMPLED = ("fig1a", "random-153")
+
+GOLDEN_CONJECTURE_DIGESTS = {
+    "few-leaves": "da3bb2e4ebd31a7426487627b74d4d21d301462560f260bda0433f9225a4faed",
+    "fig1a": "e8b5302760a03599239ce22f210e089d6c3fd7e148c8adf636e60af6e7d24650",
+    "near-path": "0bf9ac4296c1664a217562dec4fbaf249c41f863fb6e6663fc8dbb8519a33543",
+    "random-153": "8c4dddc9546e30d7249788f76f19adefe2975f53f47e67f4411470f541f0ec22",
+    "single-edge": "ff0ff2b7736cc8e16e0b18e14fb6f299996cfb9ba84160455aaee64125c5cbc6",
+    "star": "8819f3cc30e40784763f7267f0ffc5e95c536f9e64e4b278ac3f8005eecc21da",
+    "two-internal-3s": "f7f8672db98942a13a014857d4c7f70e828405825e176859a85de74feb66e50b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONJECTURE_DIGESTS))
+def test_golden_conjecture_outputs(capsys, name):
+    """Exit code, stdout and stderr of every conjecture run above, byte for byte."""
+    text = GOLDEN_SEQUENCES[name]
+    flags = []
+    if name in GOLDEN_CONJECTURE_EXHAUSTIVE:
+        flags.append(())
+    if name in GOLDEN_CONJECTURE_SAMPLED:
+        flags.append(("--cap", "0", "--samples", "16", "--seed", "5"))
+    digest = hashlib.sha256()
+    for extra in flags:
+        for fmt in ("json", "table"):
+            command = ("conjecture", *extra, "--format", fmt)
+            code, out, err = invoke(capsys, command[0], text, *command[1:])
+            digest.update(f"{' '.join(command)}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == GOLDEN_CONJECTURE_DIGESTS[name]
+
+
+def test_parser_reused_without_leaks(capsys, tmp_path):
+    """One parser serves every run in a process; no option carries over."""
+    assert cli._build_parser() is cli._build_parser()
+    big = GOLDEN_SEQUENCES["random-153"]  # n = 153: sampled, above the rank limit
+    batch = tmp_path / "seqs.txt"
+    batch.write_text(f"1,1,2\n{FIG_1A}\n")
+    runs = (
+        ("conjecture", big, "--samples", "3", "--seed", "7"),
+        ("conjecture", big, "--cap", "0", "--samples", "2"),
+        ("verify", big, "--rank-limit", "200"),
+        ("verify", big),
+        ("spectrum", FIG_1A, "--cap", "0"),
+        ("spectrum", FIG_1A),
+        ("construct", FIG_1A),
+        ("bounds", "--file", str(batch)),
+    )
+    first = [invoke(capsys, *argv) for argv in runs]
+    assert [invoke(capsys, *argv) for argv in runs] == first
+
+    seeded, default_seed, ranked, skipped, capped, counted, usage, batched = first
+    assert seeded[0] == 0 and json.loads(seeded[1])["seed"] == 7
+    assert default_seed[0] == 0
+    assert json.loads(default_seed[1])["seed"] == 0
+    assert json.loads(default_seed[1])["samples"] == 2
+
+    def rank_detail(out):
+        checks = json.loads(out)["min"]["checks"]
+        return next(c["detail"] for c in checks if c["name"] == "rank-cross-check")
+
+    assert ranked[0] == 0 and not rank_detail(ranked[1]).startswith("skipped")
+    assert skipped[0] == 0 and rank_detail(skipped[1]).startswith("skipped")
+    assert capped[0] == 2 and counted[0] == 0
+    assert usage[0] == 1 and json.loads(usage[2])["error"] == "UsageError"
+    assert batched[0] == 0 and len(batched[1].splitlines()) == 2
