@@ -377,13 +377,52 @@ def internal_leaf_adjacency_violations(
     return tuple(out)
 
 
-def _revalidated(tree: LabeledTree) -> tuple[bool, str]:
-    """Rebuild ``tree``: the one check that catches a duck-typed or rewritten tree."""
+def _revalidated(tree) -> tuple[LabeledTree | None, str]:
+    """The tree the checks read, rebuilt from ``tree.n`` and ``tree.edges``.
+
+    The rebuild is the one check that catches a duck-typed or rewritten
+    tree: any object goes in, and ``(None, reason)`` comes out when it does
+    not rebuild.  A ``LabeledTree`` equal to its rebuild is returned itself,
+    so the matching its builder memoised is reused.
+    """
     try:
-        from_edges(tree.n, tree.edges)
-    except InputError as exc:
-        return False, type(exc).__name__
-    return True, ""
+        rebuilt = from_edges(tree.n, tree.edges)
+    except (AttributeError, InputError) as exc:
+        return None, type(exc).__name__
+    return (tree if rebuilt == tree else rebuilt), ""
+
+
+def _bad_fields(cert: MinCertificate | MaxCertificate, n: int) -> list[str]:
+    """The names of the fields whose values have the wrong shape.
+
+    This is the one place that decides what a field may hold: matchings are
+    :class:`Matching` values, vertex lists are tuples of labels of the tree
+    on 1..n, ``omega`` and ``l_mk`` are ints, ``v_mk`` is a label or None,
+    and ``branch`` is one of the two branch names.  Past it, every check
+    may index the tree by any label a field holds.
+    """
+
+    def labels(vs) -> bool:
+        return isinstance(vs, tuple) and all(_is_label(v, n) for v in vs)
+
+    if isinstance(cert, MinCertificate):
+        shapes = {
+            "branch": cert.branch in (BRANCH_MANY_LEAVES, BRANCH_FEW_LEAVES),
+            "matching": isinstance(cert.matching, Matching),
+            "path_block": labels(cert.path_block),
+        }
+    else:
+        shapes = {
+            "v_k": labels(cert.v_k),
+            "omega": isinstance(cert.omega, int),
+            "v_mk": cert.v_mk is None or _is_label(cert.v_mk, n),
+            "l_mk": isinstance(cert.l_mk, int),
+            "p_k": labels(cert.p_k),
+            "m_k": isinstance(cert.m_k, Matching),
+            "m_j": isinstance(cert.m_j, Matching),
+            "m_s": isinstance(cert.m_s, Matching),
+        }
+    return [name for name, ok in shapes.items() if not ok]
 
 
 def _common_checks(
@@ -395,11 +434,6 @@ def _common_checks(
     rank_limit: int,
 ) -> list[CheckResult]:
     checks: list[CheckResult] = []
-    ok, detail = _revalidated(tree)
-    checks.append(CheckResult("tree-structure", ok, detail))
-    if not ok:
-        return checks
-
     degrees = tree.degree_multiset()
     checks.append(
         CheckResult(
@@ -438,53 +472,44 @@ def _common_checks(
 
 
 def _verify_min(
-    cert: MinCertificate, s: DegreeSequence, rank_limit: int
-) -> VerificationReport:
+    cert: MinCertificate, tree: LabeledTree, s: DegreeSequence, rank_limit: int
+) -> list[CheckResult]:
     b = bounds(s)
-    checks = _common_checks(
-        cert.tree, s, b.nu_max, {"witness": cert.matching}, "witness", rank_limit
-    )
-    if checks[0].passed:
-        n, l = s.n, b.l
-        leafy = l >= (n + 1) // 2
-        checks.append(
-            CheckResult(
-                "branch-condition",
-                (cert.branch == BRANCH_MANY_LEAVES) == leafy,
-                f"branch {cert.branch}, l = {l}, n = {n}",
-            )
+    checks = _common_checks(tree, s, b.nu_max, {"witness": cert.matching}, "witness", rank_limit)
+    n, l = s.n, b.l
+    leafy = l >= (n + 1) // 2
+    block = cert.path_block
+    # The leafy branch has no path block, so a nonempty one is forged.
+    many = cert.branch == BRANCH_MANY_LEAVES
+    checks.append(
+        CheckResult(
+            "branch-condition",
+            many == leafy and not (many and block),
+            f"branch {cert.branch}, l = {l}, n = {n}",
         )
-        if cert.branch == BRANCH_FEW_LEAVES:
-            block = cert.path_block
-            block_set = set(block)
-            induced = [
-                (u, v) for u, v in cert.tree.edges if u in block_set and v in block_set
-            ]
-            is_path = (
-                all(_is_label(v, cert.tree.n) for v in block)
-                and len(block) == n - 2 * l
-                and len(induced) == len(block) - 1
-                and set(induced)
-                == {
-                    (min(block[t], block[t + 1]), max(block[t], block[t + 1]))
-                    for t in range(len(block) - 1)
-                }
-            )
-            checks.append(
-                CheckResult(
-                    "path-block",
-                    is_path,
-                    f"{len(block)} vertices, expected {n - 2 * l}",
-                )
-            )
-    return VerificationReport(kind="min-nullity", checks=tuple(checks))
+    )
+    if not many:
+        block_set = set(block)
+        induced = [(u, v) for u, v in tree.edges if u in block_set and v in block_set]
+        is_path = (
+            len(block) == n - 2 * l
+            and len(induced) == len(block) - 1
+            and set(induced)
+            == {
+                (min(block[t], block[t + 1]), max(block[t], block[t + 1]))
+                for t in range(len(block) - 1)
+            }
+        )
+        checks.append(
+            CheckResult("path-block", is_path, f"{len(block)} vertices, expected {n - 2 * l}")
+        )
+    return checks
 
 
 def _verify_max(
-    cert: MaxCertificate, s: DegreeSequence, rank_limit: int
-) -> VerificationReport:
+    cert: MaxCertificate, tree: LabeledTree, s: DegreeSequence, rank_limit: int
+) -> list[CheckResult]:
     b = bounds(s)
-    tree = cert.tree
     checks = _common_checks(
         tree,
         s,
@@ -493,15 +518,9 @@ def _verify_max(
         "m_s",
         rank_limit,
     )
-    if not checks[0].passed:
-        return VerificationReport(kind="max-nullity", checks=tuple(checks))
-
     n, l, a = s.n, b.l, b.a
     omega, v_k, v_mk = cert.omega, cert.v_k, cert.v_mk
-    # A forged certificate may name labels that are not vertices of the tree;
-    # every check that reads a V_K or v_mk label fails on them, never raises.
-    labels_ok = all(_is_label(v, tree.n) for v in v_k)
-    adj = tree._adj  # read only behind a label guard
+    adj = tree._adj
     checks.append(
         CheckResult(
             "omega-counts-v_k",
@@ -512,8 +531,7 @@ def _verify_max(
     checks.append(
         CheckResult(
             "v_k-internal-increasing",
-            labels_ok
-            and all(len(adj[v]) > 1 for v in v_k)
+            all(len(adj[v]) > 1 for v in v_k)
             and all(v_k[i] < v_k[i + 1] for i in range(len(v_k) - 1)),
             f"v_k = {list(v_k)}",
         )
@@ -521,8 +539,8 @@ def _verify_max(
     # Distinct tree vertices are at distance 2 exactly when they share a
     # neighbor (they cannot also be adjacent: a tree has no triangle).  Each
     # member is in at most two pairs, so this costs O(sum of degrees).
-    around = [set(adj[v]) for v in v_k] if labels_ok else []
-    consec = labels_ok and all(
+    around = [set(adj[v]) for v in v_k]
+    consec = all(
         v_k[i] != v_k[i + 1] and not around[i].isdisjoint(around[i + 1])
         for i in range(len(v_k) - 1)
     )
@@ -531,35 +549,23 @@ def _verify_max(
     checks.append(
         CheckResult(
             "v_k-pairwise-even-distance",
-            labels_ok and len({color[v] for v in v_k}) <= 1,
+            len({color[v] for v in v_k}) <= 1,
             "all members share a bipartition class",
         )
     )
-
-    if v_mk is not None and not _is_label(v_mk, tree.n):
-        checks.append(CheckResult("l_mk-count", False, f"v_mk = {v_mk!r} not in 1..{tree.n}"))
-    else:
-        actual_l_mk = 0 if v_mk is None else sum(1 for u in adj[v_mk] if len(adj[u]) == 1)
-        checks.append(
-            CheckResult(
-                "l_mk-count", cert.l_mk == actual_l_mk, f"{cert.l_mk} vs {actual_l_mk}"
-            )
-        )
+    actual_l_mk = 0 if v_mk is None else sum(1 for u in adj[v_mk] if len(adj[u]) == 1)
+    checks.append(
+        CheckResult("l_mk-count", cert.l_mk == actual_l_mk, f"{cert.l_mk} vs {actual_l_mk}")
+    )
 
     if n == 2:
         checks.append(CheckResult("internal-edge-identity", True, "skipped (n = 2)"))
         checks.append(CheckResult("omega-annihilation-bounds", True, "skipped (n = 2)"))
     else:
         lhs = n - 1 - l
-        if labels_ok:
-            rhs = -cert.l_mk + sum(len(adj[v]) for v in v_k)
-            identity = CheckResult("internal-edge-identity", lhs == rhs, f"n-1-l = {lhs}, "
-                                   f"-l_mk + sum deg(v_k) = {rhs}")
-        else:
-            identity = CheckResult(
-                "internal-edge-identity", False, f"v_k = {list(v_k)} not within 1..{tree.n}"
-            )
-        checks.append(identity)
+        rhs = -cert.l_mk + sum(len(adj[v]) for v in v_k)
+        detail = f"n-1-l = {lhs}, -l_mk + sum deg(v_k) = {rhs}"
+        checks.append(CheckResult("internal-edge-identity", lhs == rhs, detail))
         omega_ok = (a - l) <= omega <= (a - l + 1) and (omega == a - l) == (cert.l_mk == 0)
         checks.append(
             CheckResult(
@@ -569,25 +575,22 @@ def _verify_max(
             )
         )
 
-    # P_K is read off the adjacency lists, so every member must be a label;
-    # distinct members keep the lookups within O(sum of degrees).
+    # Distinct members of P_K keep the adjacency lookups within O(sum of
+    # degrees).  V_K may be shorter than omega says, so its head is sliced.
     p_k = cert.p_k
-    path_labels = all(_is_label(v, tree.n) for v in p_k)
     if omega == 0:
         p_k_ok = p_k == ()
     else:
         p_k_ok = (
-            labels_ok
-            and path_labels
-            and len(p_k) == 2 * omega - 1
+            len(p_k) == 2 * omega - 1
             and len(set(p_k)) == len(p_k)
-            and p_k[0] == v_k[0]
+            and p_k[:1] == v_k[:1]
             and p_k[-1] == v_mk
             and set(v_k) <= set(p_k)
             and all(b in adj[a] for a, b in zip(p_k, p_k[1:]))
         )
     checks.append(CheckResult("p_k-path", p_k_ok, f"{len(p_k)} vertices"))
-    p_k_edges = {(min(a, b), max(a, b)) for a, b in zip(p_k, p_k[1:])} if path_labels else set()
+    p_k_edges = {(min(a, b), max(a, b)) for a, b in zip(p_k, p_k[1:])}
     checks.append(
         CheckResult(
             "m_k-on-path",
@@ -612,8 +615,7 @@ def _verify_max(
         else f"off-path violations {list(off_path)}"
     )
     checks.append(CheckResult("internal-off-path-leaf-adjacency", off_path == (), detail))
-
-    return VerificationReport(kind="max-nullity", checks=tuple(checks))
+    return checks
 
 
 def verify_certificate(
@@ -624,11 +626,26 @@ def verify_certificate(
     """Re-derive every certificate invariant independently of construction.
 
     Returns a structured pass/fail report; failures are report entries,
-    never exceptions.  Certificates produced by :func:`build_min` and
+    never exceptions, whatever the certificate's fields hold.  Two checks
+    end the report early when they fail: ``tree-structure``, when the tree
+    does not rebuild from its ``n`` and ``edges``, and then
+    ``certificate-shape``, when a field holds a value of the wrong shape
+    (its detail names the fields); ``certificate-shape`` is listed only
+    when it fails.  Certificates produced by :func:`build_min` and
     :func:`build_max` pass all checks.
     """
     if isinstance(cert, MinCertificate):
-        return _verify_min(cert, s, rank_limit)
-    if isinstance(cert, MaxCertificate):
-        return _verify_max(cert, s, rank_limit)
-    raise TypeError(f"not a certificate: {type(cert).__name__}")
+        kind, verify = "min-nullity", _verify_min
+    elif isinstance(cert, MaxCertificate):
+        kind, verify = "max-nullity", _verify_max
+    else:
+        raise TypeError(f"not a certificate: {type(cert).__name__}")
+    tree, detail = _revalidated(cert.tree)
+    checks = [CheckResult("tree-structure", tree is not None, detail)]
+    if tree is not None:
+        bad = _bad_fields(cert, tree.n)
+        if bad:
+            checks.append(CheckResult("certificate-shape", False, f"bad {', '.join(bad)}"))
+        else:
+            checks.extend(verify(cert, tree, s, rank_limit))
+    return VerificationReport(kind=kind, checks=tuple(checks))

@@ -3,13 +3,15 @@
 Vertices are labeled 1..n.  Every tree is validated on construction, and
 one rule, :func:`_is_label`, decides what a label is: an int in 1..n.
 Anything else, as an edge end, a vertex argument or a Prüfer symbol, raises
-:class:`LabelOutOfRange`.  Every operation is pure and exact.  The
-matching comes from one rule, applied along the Prüfer elimination walk
-(smallest current leaf first, rooted at n): match a leaf to its parent when
-both are free.  Leaves go children-first, so a vertex still free when it
-goes has only its parent edge left, and a pendant edge lies in some maximum
-matching; the rule is exact on trees with no blossom machinery.  The same
-walk yields the Prüfer code.
+:class:`LabelOutOfRange`.  A :class:`Matching` is tied to no tree, so it
+refuses only ends that are no int; :meth:`Matching.is_valid_in` tests the
+range.  Every operation is pure and exact.  The matching comes from one
+rule, applied along the Prüfer elimination walk (smallest current leaf
+first, rooted at n): match a leaf to its parent when both are free.  Leaves
+go children-first, so a vertex still free when it goes has only its parent
+edge left, and a pendant edge lies in some maximum matching; the rule is
+exact on trees with no blossom machinery.  The same walk yields the Prüfer
+code.
 
 The adjacency rank comes from elimination over GF(2) on integer bitmasks,
 so no floating-point rank decision is ever made.  For any forest the
@@ -53,8 +55,11 @@ class Matching:
     def __post_init__(self) -> None:
         try:
             canon = tuple(sorted([(u, v) if u <= v else (v, u) for u, v in self.edges]))
+            ints = all(isinstance(u, int) and isinstance(v, int) for u, v in canon)
         except (TypeError, ValueError):
-            raise LabelOutOfRange("matching edges must be pairs of integer labels") from None
+            ints = False
+        if not ints:  # the label rule of _is_label, short of the range
+            raise LabelOutOfRange("matching edges must be pairs of integer labels")
         object.__setattr__(self, "edges", canon)
 
     @property
@@ -68,11 +73,9 @@ class Matching:
         """Every edge belongs to the tree and no two edges share a vertex."""
         n, adj = tree.n, tree._adj
         seen: set[int] = set()
-        for u, v in self.edges:  # the label rule on both ends, as u <= v
-            if not (isinstance(u, int) and isinstance(v, int) and 1 <= u <= v <= n):
-                return False
-            if u in seen or v in seen or v not in adj[u]:  # O(deg u): u occurs once
-                return False
+        for u, v in self.edges:  # int labels with u <= v, by construction
+            if not 1 <= u <= v <= n or u in seen or v in seen or v not in adj[u]:
+                return False  # v in adj[u] is O(deg u): u occurs once
             seen.add(u)
             seen.add(v)
         return True

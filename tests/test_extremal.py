@@ -6,8 +6,9 @@ import types
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import degree_sequences
+from conftest import degree_sequences, labeled_trees
 from treenullity import (
     ConstructionInvariantViolated,
     DegreeSequence,
@@ -22,17 +23,25 @@ from treenullity import (
     verify_certificate,
 )
 from treenullity.extremal import BRANCH_FEW_LEAVES, BRANCH_MANY_LEAVES
-from treenullity.treegraph import from_edges
+from treenullity.treegraph import Matching, from_edges
 
 FIG_1A = parse_sequence("1,1,1,1,1,1,2,2,3,3,4")
 FIG_1B = parse_sequence("1,1,1,1,2,2,2,2,2,3,3")
 STAR_9 = parse_sequence("1,1,1,1,1,1,1,1,8")
 FIG_2B = DegreeSequence((1,) * 10 + (2, 4, 4, 4, 4))
 FIG_2C = DegreeSequence((1,) * 11 + (3, 3, 3, 3, 3, 4, 4))
+FEW_LEAVES = parse_sequence("1,1,1,2,2,2,2,2,3")  # min: path block (4, 5, 6)
+MANY_LEAVES = parse_sequence("1,1,1,1,1,2,3,4")  # min: no path block
+OMEGA_3 = parse_sequence("1,1,1,1,1,1,2,2,2,2,3,3,4")  # max: omega = 3
 
 
 def _check(report, name):
     return next(c for c in report.checks if c.name == name)
+
+
+def _shape(*fields):
+    """The one failure of a certificate whose named fields have the wrong shape."""
+    return {"certificate-shape": "bad " + ", ".join(fields)}
 
 
 class TestBuildMin:
@@ -187,48 +196,35 @@ class TestVerify:
     @pytest.mark.parametrize(
         "forged, failing",
         [
-            (
-                {"v_k": (0, 7)},
-                {"v_k-internal-increasing", "v_k-consecutive-distance-2",
-                 "v_k-pairwise-even-distance", "internal-edge-identity", "p_k-path"},
-            ),
-            (
-                {"v_k": (4, 99)},
-                {"v_k-internal-increasing", "v_k-consecutive-distance-2",
-                 "v_k-pairwise-even-distance", "internal-edge-identity", "p_k-path"},
-            ),
-            ({"v_mk": 99}, {"l_mk-count", "p_k-path"}),
-            ({"v_mk": 7.0}, {"l_mk-count"}),
-            (
-                {"v_k": ("4", 7)},
-                {"v_k-internal-increasing", "v_k-consecutive-distance-2",
-                 "v_k-pairwise-even-distance", "internal-edge-identity", "p_k-path"},
-            ),
-            (
-                {"v_k": (99,), "omega": 1, "v_mk": 99, "p_k": (99,)},
-                {"v_k-internal-increasing", "v_k-consecutive-distance-2",
-                 "v_k-pairwise-even-distance", "l_mk-count", "internal-edge-identity",
-                 "omega-annihilation-bounds", "p_k-path", "m_k-on-path",
-                 "internal-off-path-leaf-adjacency"},
-            ),
+            # A value that is no label of the tree on 1..15 fails the shape
+            # step, which names the field and ends the report.
+            ({"v_k": (0, 7)}, _shape("v_k")),
+            ({"v_k": (4, 99)}, _shape("v_k")),
+            ({"v_mk": 99}, _shape("v_mk")),
+            ({"v_mk": 7.0}, _shape("v_mk")),
+            ({"v_k": ("4", 7)}, _shape("v_k")),
+            ({"v_k": (99,), "omega": 1, "v_mk": 99, "p_k": (99,)}, _shape("v_k", "v_mk", "p_k")),
+            # Labels of the tree are well-formed, so the checks judge them.
             (
                 {"v_k": (4, 4)},
                 {"v_k-internal-increasing", "v_k-consecutive-distance-2",
                  "internal-edge-identity"},
             ),
-            # P_K is (4, 14, 7); a middle that is not a label has no edges.
-            ({"p_k": (4, 14.0, 7)}, {"p_k-path", "m_k-on-path"}),
-            ({"p_k": (4, 0, 7)}, {"p_k-path", "m_k-on-path"}),
-            ({"p_k": (4, -1, 7)}, {"p_k-path", "m_k-on-path"}),
-            ({"p_k": (4, 16, 7)}, {"p_k-path", "m_k-on-path"}),
-            ({"p_k": (4, "14", 7)}, {"p_k-path", "m_k-on-path"}),
+            # P_K is (4, 14, 7).
+            ({"p_k": (4, 14.0, 7)}, _shape("p_k")),
+            ({"p_k": (4, 0, 7)}, _shape("p_k")),
+            ({"p_k": (4, -1, 7)}, _shape("p_k")),
+            ({"p_k": (4, 16, 7)}, _shape("p_k")),
+            ({"p_k": (4, "14", 7)}, _shape("p_k")),
         ],
     )
     def test_forged_labels_fail_without_raising(self, forged, failing):
         cert = build_max(FIG_2B)
         assert cert.v_k == (4, 7) and cert.v_mk == 7 and cert.p_k == (4, 14, 7)
         report = verify_certificate(dataclasses.replace(cert, **forged), FIG_2B)
-        assert {c.name for c in report.failures()} == failing
+        assert {c.name for c in report.failures()} == set(failing)
+        if isinstance(failing, dict):
+            assert {c.name: c.detail for c in report.failures()} == failing
 
     @pytest.mark.parametrize(
         "block", [(4.0, 5.0, 6.0), (4, "5", 6), (0, 5, 6), (4, 5, 10)],
@@ -238,7 +234,7 @@ class TestVerify:
         cert = build_min(s)
         assert cert.path_block == (4, 5, 6) and verify_certificate(cert, s).ok
         report = verify_certificate(dataclasses.replace(cert, path_block=block), s)
-        assert {c.name for c in report.failures()} == {"path-block"}
+        assert {c.name: c.detail for c in report.failures()} == _shape("path_block")
 
     def test_detects_leafless_internal_vertex_off_path(self):
         # Hanging a two-edge path at a leaf x makes x internal, off P_K and
@@ -292,6 +288,148 @@ class TestVerify:
         d = report.to_json_dict()
         assert d["ok"] is True
         assert all(set(c) == {"name", "passed", "detail"} for c in d["checks"])
+
+
+# One value of each kind a forged field may hold.  () and (1, 2) are tuples
+# of labels and True is the int 1, so they pass the shape step wherever a
+# tuple of labels or an int is asked for; the checks then judge them.
+FORGERIES = ([4], None, "2", 2.5, (), (1, 2), object(), True)
+SHAPE, TREE = {"certificate-shape"}, {"tree-structure"}
+# The failed checks for each field, one entry per value of FORGERIES.
+FORGED_FIELDS = {
+    "min": {
+        "tree": [TREE] * 8,
+        "branch": [SHAPE] * 8,
+        "matching": [SHAPE] * 8,
+        "path_block": [SHAPE] * 4 + [{"path-block"}] * 2 + [SHAPE] * 2,
+    },
+    "max": {
+        "tree": [TREE] * 8,
+        "v_k": [SHAPE] * 4
+        + [
+            {"omega-counts-v_k", "internal-edge-identity", "p_k-path"},
+            {"omega-counts-v_k", "v_k-internal-increasing", "internal-edge-identity",
+             "p_k-path"},
+        ]
+        + [SHAPE] * 2,
+        "omega": [SHAPE] * 7
+        + [{"omega-counts-v_k", "omega-annihilation-bounds", "p_k-path", "m_k-on-path"}],
+        "v_mk": [SHAPE, {"omega-counts-v_k", "p_k-path"}] + [SHAPE] * 5 + [{"p_k-path"}],
+        "l_mk": [SHAPE] * 7
+        + [{"l_mk-count", "internal-edge-identity", "omega-annihilation-bounds"}],
+        "p_k": [SHAPE] * 4 + [{"p_k-path", "m_k-on-path"}] * 2 + [SHAPE] * 2,
+        "m_k": [SHAPE] * 8,
+        "m_j": [SHAPE] * 8,
+        "m_s": [SHAPE] * 8,
+    },
+}
+
+
+def _certified(kind):
+    s = FEW_LEAVES if kind == "min" else OMEGA_3
+    return (build_min(s) if kind == "min" else build_max(s)), s
+
+
+# Values for the property: wrong types, labels in and out of range, tuples
+# and lists of them, matchings over any int pairs, branch names, and trees,
+# both LabeledTrees and duck-typed ones that may not rebuild.
+_any_label = st.one_of(st.integers(-1, 16), st.floats(), st.text(max_size=2), st.none())
+_forged_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 16),
+    st.floats(),
+    st.text(max_size=3),
+    st.builds(object),
+    st.sampled_from([BRANCH_MANY_LEAVES, BRANCH_FEW_LEAVES]),
+    st.lists(st.integers(-1, 16), max_size=5).map(tuple),
+    st.lists(_any_label, max_size=4).map(tuple),
+    st.lists(st.integers(1, 13), max_size=3),
+    st.lists(st.tuples(st.integers(-1, 16), st.integers(-1, 16)), max_size=4).map(
+        lambda edges: Matching(tuple(edges))
+    ),
+    labeled_trees(max_n=14),
+    st.builds(
+        types.SimpleNamespace,
+        n=st.integers(-1, 15),
+        edges=st.lists(st.tuples(_any_label, _any_label), max_size=14),
+    ),
+)
+
+
+class TestCertificateBoundary:
+    """A forged certificate gives a failed report and never raises."""
+
+    @pytest.mark.parametrize(
+        "kind, field, i",
+        [(k, f, i) for k, fields in FORGED_FIELDS.items() for f in fields for i in range(8)],
+        ids=str,
+    )
+    def test_every_forged_field_fails_without_raising(self, kind, field, i):
+        cert, s = _certified(kind)
+        report = verify_certificate(dataclasses.replace(cert, **{field: FORGERIES[i]}), s)
+        failing = FORGED_FIELDS[kind][field][i]
+        assert {c.name for c in report.failures()} == failing
+        # Both boundary checks end the report; the shape check names the field.
+        if failing == TREE:
+            assert [c.name for c in report.checks] == ["tree-structure"]
+        if failing == SHAPE:
+            assert [c.name for c in report.checks] == ["tree-structure", "certificate-shape"]
+            assert report.checks[-1].detail == f"bad {field}"
+
+    def test_empty_v_k_with_omega_3(self):
+        cert = build_max(OMEGA_3)
+        assert cert.omega == 3
+        report = verify_certificate(dataclasses.replace(cert, v_k=()), OMEGA_3)
+        assert {c.name for c in report.failures()} == {
+            "omega-counts-v_k", "internal-edge-identity", "p_k-path"
+        }
+        assert _check(report, "omega-counts-v_k").detail == "omega = 3, |v_k| = 0"
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_duck_typed_tree_verifies(self, kind):
+        cert, s = _certified(kind)
+        duck = types.SimpleNamespace(n=cert.tree.n, edges=cert.tree.edges)
+        report = verify_certificate(dataclasses.replace(cert, tree=duck), s)
+        assert report.ok, report.failures()
+        assert report == verify_certificate(cert, s)
+
+    @pytest.mark.parametrize(
+        "forged, bad",
+        [
+            ({"branch": "nonsense"}, ("branch",)),
+            ({"branch": None}, ("branch",)),
+            ({"branch": None, "path_block": (99, "x")}, ("branch", "path_block")),
+        ],
+    )
+    def test_forged_branch_fails_the_shape(self, forged, bad):
+        cert = build_min(FEW_LEAVES)
+        assert cert.branch == BRANCH_FEW_LEAVES
+        report = verify_certificate(dataclasses.replace(cert, **forged), FEW_LEAVES)
+        assert {c.name: c.detail for c in report.failures()} == _shape(*bad)
+
+    def test_leafy_branch_has_no_path_block(self):
+        cert = build_min(MANY_LEAVES)
+        assert cert.branch == BRANCH_MANY_LEAVES and cert.path_block == ()
+        forged = dataclasses.replace(cert, path_block=(1, 2, 99))
+        report = verify_certificate(forged, MANY_LEAVES)
+        assert {c.name: c.detail for c in report.failures()} == _shape("path_block")
+        # A block of labels is well-formed, but the leafy branch has none.
+        forged = dataclasses.replace(cert, path_block=(1, 2, 3))
+        report = verify_certificate(forged, MANY_LEAVES)
+        assert {c.name for c in report.failures()} == {"branch-condition"}
+        assert _check(report, "branch-condition").detail == "branch l_ge_half, l = 5, n = 8"
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_no_forged_field_raises(self, data):
+        sequences = [FEW_LEAVES, MANY_LEAVES, OMEGA_3, FIG_2B, parse_sequence("1,1")]
+        s = data.draw(st.sampled_from(sequences))
+        cert = data.draw(st.sampled_from([build_min(s), build_max(s)]))
+        field = data.draw(st.sampled_from([f.name for f in dataclasses.fields(cert)]))
+        forged = dataclasses.replace(cert, **{field: data.draw(_forged_values)})
+        assert isinstance(verify_certificate(forged, s).ok, bool)
+        assert verify_certificate(cert, s).ok
 
 
 class TestConstructionProperties:

@@ -127,8 +127,11 @@ class TestLabelRule:
             else:
                 with pytest.raises(LabelOutOfRange):
                     call()
-        if x is not None and not isinstance(x, str):
+        if isinstance(x, int):  # an int label is in or out of range in the tree
             assert Matching(((1, x),)).is_valid_in(t) is ok
+        else:  # anything else is no label, so no matching edge end either
+            with pytest.raises(LabelOutOfRange):
+                Matching(((1, x),))
 
     def test_vertex_count_not_an_int(self):
         with pytest.raises(LabelOutOfRange):
@@ -176,7 +179,9 @@ class TestMatching:
         assert t == fresh and hash(t) == hash(fresh)
         assert fresh.maximum_matching() == t.maximum_matching()
 
-    @pytest.mark.parametrize("edges", [((1, "2"),), ((1, 2, 3),), ((1,),), ((1, None),)])
+    @pytest.mark.parametrize(
+        "edges", [((1, "2"),), ((1, 2, 3),), ((1,),), ((1, None),), (("a", "b"),)]
+    )
     def test_normal_form_follows_the_label_rule(self, edges):
         with pytest.raises(LabelOutOfRange):
             Matching(edges)
@@ -201,13 +206,19 @@ class TestMatching:
             ((2, 3.0),),  # not an integer label
             ((2.0, 3.0),),  # no integer label at all
             (("2", "3"),),  # strings
-            (([2], [3]),),  # unhashable, so it must fail before the seen-set test
+            (([2], [3]),),  # unhashable lists, refused when the matching is built
             ((2, 2),),  # a loop
             ((1, 2), (3, 4.0)),  # a bad label after a good edge
         ],
     )
     def test_forged_matching_is_invalid(self, edges):
-        assert Matching(edges).is_valid_in(path(4)) is False
+        # A label that is no int is refused when the matching is built; an
+        # int pair that is not a matching of the tree fails is_valid_in.
+        if all(isinstance(x, int) for e in edges for x in e):
+            assert Matching(edges).is_valid_in(path(4)) is False
+        else:
+            with pytest.raises(LabelOutOfRange):
+                Matching(edges)
 
     def test_bool_label_keeps_its_verdict(self):
         # bool is an int, so True names vertex 1.
