@@ -251,7 +251,7 @@ def run(argv: list[str]) -> int:
             if rendered is not None and not batch:
                 sys.stdout.write(rendered)
             else:
-                sys.stdout.write(json.dumps(payload, sort_keys=False) + "\n")
+                sys.stdout.write(json.dumps(payload, check_circular=False) + "\n")
             if args.command == "verify" and not payload["ok"]:
                 status = EXIT_INVARIANT
         return status

@@ -11,7 +11,9 @@ trees realizing the sequence.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import InvalidDegree, NotTreeSum, ParseError, TooSmall
@@ -128,20 +130,8 @@ def stats(s: DegreeSequence) -> SequenceStats:
     a is the largest index (1-based) such that the sum of the a smallest
     degrees is at most m.
     """
-    l = 0
-    for d in s.degrees:
-        if d != 1:
-            break
-        l += 1
-    m = s.n - 1
-    a = 0
-    prefix = 0
-    for d in s.degrees:
-        prefix += d
-        if prefix > m:
-            break
-        a += 1
-    return SequenceStats(l=l, m=m, a=a)
+    m = s.n - 1  # the degrees are sorted and positive, so the prefix sums increase
+    return SequenceStats(l=s.degrees.count(1), m=m, a=bisect_right(list(accumulate(s.degrees)), m))
 
 
 def bounds(s: DegreeSequence) -> BoundsReport:

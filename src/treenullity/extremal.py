@@ -382,14 +382,18 @@ def _revalidated(tree) -> tuple[LabeledTree | None, str]:
 
     The rebuild is the one check that catches a duck-typed or rewritten
     tree: any object goes in, and ``(None, reason)`` comes out when it does
-    not rebuild.  A ``LabeledTree`` equal to its rebuild is returned itself,
-    so the matching its builder memoised is reused.
+    not rebuild.  A ``LabeledTree`` whose edges and derived slots
+    (``_adj``, ``_order``, ``_parent``) equal its rebuild's is returned
+    itself, so the matching its builder memoised is reused: that memo is
+    the one slot trusted without a check.
     """
     try:
         rebuilt = from_edges(tree.n, tree.edges)
     except (AttributeError, InputError) as exc:
         return None, type(exc).__name__
-    return (tree if rebuilt == tree else rebuilt), ""
+    derived = ("_adj", "_order", "_parent")
+    same = rebuilt == tree and all(getattr(tree, f, None) == getattr(rebuilt, f) for f in derived)
+    return (tree if same else rebuilt), ""
 
 
 def _bad_fields(cert: MinCertificate | MaxCertificate, n: int) -> list[str]:
@@ -402,8 +406,9 @@ def _bad_fields(cert: MinCertificate | MaxCertificate, n: int) -> list[str]:
     may index the tree by any label a field holds.
     """
 
-    def labels(vs) -> bool:
-        return isinstance(vs, tuple) and all(_is_label(v, n) for v in vs)
+    def labels(vs) -> bool:  # _is_label on every entry, at C speed
+        ints = isinstance(vs, tuple) and all(map(int.__instancecheck__, vs))
+        return ints and 1 <= min(vs, default=1) and max(vs, default=n) <= n
 
     if isinstance(cert, MinCertificate):
         shapes = {
@@ -434,12 +439,9 @@ def _common_checks(
     rank_limit: int,
 ) -> list[CheckResult]:
     checks: list[CheckResult] = []
-    degrees = tree.degree_multiset()
-    checks.append(
-        CheckResult(
-            "degree-multiset", degrees.degrees == s.degrees, f"tree {degrees} vs input {s}"
-        )
-    )
+    degrees = tuple(sorted(map(len, tree._adj[1:])))
+    detail = f"tree {','.join(map(str, degrees))} vs input {s}"
+    checks.append(CheckResult("degree-multiset", degrees == s.degrees, detail))
     for name, m in matchings.items():
         checks.append(
             CheckResult(f"matching-{name}-valid", m.is_valid_in(tree), f"{m.size} edges")

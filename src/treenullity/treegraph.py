@@ -13,6 +13,11 @@ edge left, and a pendant edge lies in some maximum matching; the rule is
 exact on trees with no blossom machinery.  The same walk yields the Prüfer
 code.
 
+One BFS from n at construction proves connectivity and keeps its order and
+parents for the elimination walk and the 2-coloring.  n - 1 edges that
+reach all n vertices hold no loop or repeat, so the edge set is built only
+to name the error of a rejected tree.
+
 The adjacency rank comes from elimination over GF(2) on integer bitmasks,
 so no floating-point rank decision is ever made.  For any forest the
 adjacency rank is 2 * nu over every field (deleting a pendant vertex and
@@ -24,6 +29,7 @@ cross-check of the matching code and vice versa.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .degseq import DegreeSequence
@@ -55,7 +61,7 @@ class Matching:
     def __post_init__(self) -> None:
         try:
             canon = tuple(sorted([(u, v) if u <= v else (v, u) for u, v in self.edges]))
-            ints = all(isinstance(u, int) and isinstance(v, int) for u, v in canon)
+            ints = all(map(int.__instancecheck__, chain.from_iterable(canon)))
         except (TypeError, ValueError):
             ints = False
         if not ints:  # the label rule of _is_label, short of the range
@@ -71,20 +77,17 @@ class Matching:
 
     def is_valid_in(self, tree: "LabeledTree") -> bool:
         """Every edge belongs to the tree and no two edges share a vertex."""
-        n, adj = tree.n, tree._adj
-        seen: set[int] = set()
-        for u, v in self.edges:  # int labels with u <= v, by construction
-            if not 1 <= u <= v <= n or u in seen or v in seen or v not in adj[u]:
-                return False  # v in adj[u] is O(deg u): u occurs once
-            seen.add(u)
-            seen.add(v)
-        return True
+        n, adj, edges = tree.n, tree._adj, self.edges  # int labels, u <= v
+        # Disjoint ends first: then v in adj[u] is O(deg u) and u occurs once.
+        return len(set(chain.from_iterable(edges))) == 2 * len(edges) and all(
+            1 <= u <= v <= n and v in adj[u] for u, v in edges
+        )
 
 
 class LabeledTree:
     """Immutable labeled tree on vertices 1..n stored as an edge set."""
 
-    __slots__ = ("n", "edges", "_adj", "_matching")
+    __slots__ = ("n", "edges", "_adj", "_order", "_parent", "_matching")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if not isinstance(n, int):
@@ -92,16 +95,13 @@ class LabeledTree:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_matching", None)
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        loops = False
         # This is _is_label at no cost per edge: a label that is no int fails
         # in the sort or as a list index, and an edge that is no pair unpacking.
         try:
             canon = sorted([(u, v) if u <= v else (v, u) for u, v in edges])
             for u, v in canon:
-                if not (1 <= u < v <= n):
-                    if not (1 <= u and v <= n):
-                        raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
-                    loops = True
+                if not (1 <= u <= v <= n):
+                    raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
                 adj[u].append(v)
                 adj[v].append(u)
         except (TypeError, ValueError):
@@ -109,7 +109,7 @@ class LabeledTree:
         object.__setattr__(self, "edges", tuple(canon))
         # canon is sorted with u <= v, so every list was filled in ascending order
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
-        self._validate(loops)
+        self._validate()
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LabeledTree is immutable")
@@ -127,31 +127,37 @@ class LabeledTree:
     def __repr__(self) -> str:
         return f"LabeledTree(n={self.n}, edges={list(self.edges)})"
 
-    def _validate(self, loops: bool) -> None:
-        n = self.n
-        if loops or len(set(self.edges)) != len(self.edges):
+    def _validate(self) -> None:
+        """n - 1 edges that reach all n vertices from n leave none for a loop
+        or a repeat, so they make a tree: that BFS is kept, and the edge set
+        is built only to name the error of a rejection."""
+        n, m = self.n, len(self.edges)
+        if m == n - 1:  # so n >= 1 and n is a vertex
+            order, parent = self._bfs(n)
+            if len(order) == n:
+                object.__setattr__(self, "_order", order)
+                object.__setattr__(self, "_parent", parent)
+                return
+        if len(set(self.edges)) != m or any(u == v for u, v in self.edges):
             raise LoopOrDuplicate("loops or repeated edges are not allowed")
-        if len(self.edges) != n - 1:
-            raise WrongEdgeCount(f"{len(self.edges)} edges, a tree on {n} vertices has {n - 1}")
-        # n - 1 edges and connected <=> tree; check connectivity by BFS from 1.
-        count = n + 1 - self._bfs(1).count(-1)
-        if count != n:
-            raise NotConnected(f"only {count} of {n} vertices reachable")
+        if m != n - 1:
+            raise WrongEdgeCount(f"{m} edges, a tree on {n} vertices has {n - 1}")
+        count = len(self._bfs(1)[0])
+        raise NotConnected(f"only {count} of {n} vertices reachable")
 
-    def _bfs(self, source: int) -> list[int]:
-        """Edge distances from ``source``, indexed by label; -1 marks the
-        unreached entries, among them the unused entry 0."""
+    def _bfs(self, source: int) -> tuple[list[int], list[int]]:
+        """BFS order from ``source``, and parents by label: 0 for ``source``
+        and -1 unreached, entry 0 too.  ``_validate`` keeps the BFS from n."""
         adj = self._adj
-        dist = [-1] * (self.n + 1)
-        dist[source] = 0
-        queue = [source]
-        for x in queue:
-            dx = dist[x] + 1
+        parent = [-1] * (self.n + 1)
+        parent[source] = 0
+        order = [source]
+        for x in order:
             for y in adj[x]:
-                if dist[y] < 0:
-                    dist[y] = dx
-                    queue.append(y)
-        return dist
+                if parent[y] < 0:
+                    parent[y] = x
+                    order.append(y)
+        return order, parent
 
     # -- basic accessors ---------------------------------------------------
 
@@ -179,8 +185,8 @@ class LabeledTree:
         """The (leaf, parent) pairs of the Prüfer elimination, in order.
 
         Rooted at n, the vertex of smallest label with no children left goes
-        next, paired with its parent (its neighbor toward n, read off the
-        ``_bfs(n)`` distances); the last pair is (leaf, n).  This is the walk
+        next, paired with its parent (its neighbor toward n, kept from the
+        validating BFS from n); the last pair is (leaf, n).  This is the walk
         :func:`treenullity.oracle._decode_edges` makes on the tree's Prüfer
         code, pair for pair, in linear time: a removal can make only its
         parent a leaf, and one below the pointer is taken at once.
@@ -188,13 +194,7 @@ class LabeledTree:
         n = self.n
         if n < 2:
             return []
-        dist = self._bfs(n)
-        parent = [0] * (n + 1)
-        for u, v in self.edges:
-            if dist[u] < dist[v]:
-                parent[v] = u
-            else:
-                parent[u] = v
+        parent = self._parent
         kids = [len(a) - 1 for a in self._adj]  # children left; n has no parent
         kids[n] += 1
         ptr = 1
@@ -273,20 +273,26 @@ class LabeledTree:
         return len(basis)
 
     def distance(self, u: int, v: int) -> int:
-        """Edge count of the unique u-v path (breadth-first from u)."""
+        """Edge count of the unique u-v path: the parents of a BFS from u,
+        climbed from v."""
         self._check_label(u)
         self._check_label(v)
-        d = self._bfs(u)[v]
-        if d < 0:
-            raise NotConnected(f"no path from {u} to {v}")  # pragma: no cover
+        parent, d = self._bfs(u)[1], 0
+        while v != u:
+            v, d = parent[v], d + 1
         return d
 
     def two_coloring(self) -> list[int]:
-        """Proper 2-coloring (trees are bipartite); entry 0 is unused.
+        """Proper 2-coloring (trees are bipartite); entry 0 is unused (-1).
 
-        Two vertices are at even distance exactly when they share a color.
+        Colors alternate along the BFS from n kept at construction, flipped
+        so that vertex 1 has color 0.  Two vertices are at even distance
+        exactly when they share a color.
         """
-        return [d % 2 if d >= 0 else -1 for d in self._bfs(1)]
+        parent, color = self._parent, [1] * (self.n + 1)  # entry 0 gives n color 0
+        for v in self._order:
+            color[v] = 1 - color[parent[v]]
+        return [-1] + [c ^ color[1] for c in color[1:]]
 
     # -- serialization -------------------------------------------------------
 

@@ -283,6 +283,28 @@ class TestVerify:
         assert report.checks[0].name == "tree-structure"
         assert report.checks[0].detail == "WrongEdgeCount"
 
+    def test_rewritten_edges_do_not_reuse_the_stale_slots(self):
+        # The edges slot alone is rewritten to a valid tree, so the rebuild
+        # succeeds; _adj, _order and _parent still describe the old tree and
+        # must not be read, so the report is that of an honest path tree.
+        s = parse_sequence("1,1,1,1,2,2,3,3")
+        cert = build_max(s)
+        path = tuple((i, i + 1) for i in range(1, 8))
+        object.__setattr__(cert.tree, "edges", path)
+        report = verify_certificate(cert, s)
+        honest = dataclasses.replace(cert, tree=from_edges(8, path))
+        assert report == verify_certificate(honest, s)
+        assert report.checks[0].passed and not report.ok
+        assert not _check(report, "degree-multiset").passed
+
+    def test_one_vertex_tree_fails_without_raising(self):
+        # Its degree multiset (0,) is no DegreeSequence; verify compares the
+        # degrees as a tuple, so this is a failed check, not TooSmall.
+        s = parse_sequence("1,1,2")
+        for cert in (build_min(s), build_max(s)):
+            report = verify_certificate(dataclasses.replace(cert, tree=from_edges(1, [])), s)
+            assert not _check(report, "degree-multiset").passed
+
     def test_report_serializes(self):
         report = verify_certificate(build_max(STAR_9), STAR_9)
         d = report.to_json_dict()

@@ -71,6 +71,11 @@ class TestConstruction:
         with pytest.raises(NotConnected):
             from_edges(6, [(1, 2), (2, 3), (3, 1), (5, 6), (4, 5)])
 
+    def test_not_connected_counts_from_vertex_1(self):
+        # Vertex 1 reaches 3 vertices and vertex n only 2.
+        with pytest.raises(NotConnected, match="only 3 of 5"):
+            from_edges(5, [(1, 2), (2, 3), (3, 1), (4, 5)])
+
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             from_edges(3, [(1, 2), (2, 4)])
@@ -81,6 +86,8 @@ class TestConstruction:
             (3, [(1, 1), (2, 9)], LabelOutOfRange),  # a range error outranks a loop
             (3, [(1, 2), (1, 2), (2, 3)], LoopOrDuplicate),  # outranks the edge count
             (2, [(1, 1)], LoopOrDuplicate),  # one edge, the right count, but a loop
+            (3, [(1, 2), (1, 2)], LoopOrDuplicate),  # n - 1 edges, a repeat, disconnected
+            (4, [(1, 2), (2, 1), (3, 4)], LoopOrDuplicate),  # a repeat in either orientation
         ],
     )
     def test_error_precedence(self, n, edges, error):
@@ -348,6 +355,11 @@ class TestDistance:
         for u, v in t.edges:
             assert color[u] != color[v]
         assert (color[1] == color[t.n]) == (t.distance(1, t.n) % 2 == 0)
+
+    @given(labeled_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_two_coloring_is_distance_parity_from_1(self, t):
+        assert t.two_coloring() == [-1] + [t.distance(1, v) % 2 for v in range(1, t.n + 1)]
 
 
 class TestSerialization:
