@@ -46,10 +46,11 @@ def _code_nu(code: Sequence[int], deg: Sequence[int]) -> tuple[int, list[int]]:
     fixes; callers that walk many codes of one sequence build it once.  The
     walk is the pointer variant of the classic decode: the smallest current
     leaf, ``leaves[k]``, is joined to ``code[k]``, and the final leaf to n.
-    Along it each removed leaf is matched to its parent when both are free,
-    the rule of :meth:`LabeledTree.maximum_matching`.  Leaves go
-    children-first, so a leaf still free then hangs by a pendant edge,
-    which some maximum matching contains, and the count is exact.
+    :func:`prufer_encode` makes the same walk on a tree.  Along it each
+    removed leaf is matched to its parent when both are free: the rule of
+    :meth:`LabeledTree.maximum_matching`, applied in the decode order.
+    Leaves go children-first, so a leaf still free then hangs by a pendant
+    edge, which some maximum matching contains, and the count is exact.
     """
     n = len(deg) - 1
     deg = list(deg)
@@ -112,9 +113,34 @@ def prufer_decode(code: Sequence[int], n: int) -> LabeledTree:
 
 
 def prufer_encode(tree: LabeledTree) -> PrueferCode:
-    """Inverse of :func:`prufer_decode`: the parents met by the tree's
-    elimination walk, all but the last (which is always n)."""
-    return tuple(p for _, p in tree._elimination()[:-1])
+    """Inverse of :func:`prufer_decode`, by the elimination walk on the tree.
+
+    Rooted at n, the vertex of smallest label with no children left goes
+    next, and its parent (kept from the tree's validating BFS from n) is
+    the next symbol.  This is the walk :func:`_code_nu` makes on the code,
+    step for step, with the same pointer: a removal can make only its
+    parent a leaf, and one below the pointer is taken at once.
+    """
+    n, parent = tree.n, tree._parent
+    kids = [len(a) - 1 for a in tree._adj]  # children left; n has no parent
+    kids[n] += 1
+    code: list[int] = []
+    ptr = 1
+    while kids[ptr]:
+        ptr += 1
+    leaf = ptr
+    for _ in range(n - 2):
+        p = parent[leaf]
+        code.append(p)
+        kids[p] -= 1
+        if p < ptr and not kids[p]:
+            leaf = p
+        else:
+            ptr += 1
+            while kids[ptr]:
+                ptr += 1
+            leaf = ptr
+    return tuple(code)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +320,9 @@ def _matching_counts(s: DegreeSequence, total: int) -> dict[int, int]:
     need no axis.  ``forests[m][i]`` counts sets of m planted trees: ordered
     m-tuples, labels split by binomials, divided by m.
 
-    Matching is the one rule of :func:`_code_nu` and
-    :meth:`LabeledTree.maximum_matching`, children first, a vertex to its
-    parent when both are free: a root is matched iff some child root is
+    Matching is the one rule of :meth:`LabeledTree.maximum_matching` and
+    :func:`_code_nu`, children first, a vertex to its parent when both are
+    free, applied by counting: a root is matched iff some child root is
     free.  It is exact under any rooting, since a free child hangs by a
     pendant edge, which some maximum matching contains.  Entries are pairs
     (all, every root matched) of polynomials in the matching number, each

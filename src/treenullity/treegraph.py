@@ -6,15 +6,13 @@ Anything else, as an edge end, a vertex argument or a Prüfer symbol, raises
 :class:`LabelOutOfRange`.  A :class:`Matching` is tied to no tree, so it
 refuses only ends that are no int; :meth:`Matching.is_valid_in` tests the
 range.  Every operation is pure and exact.  The matching comes from one
-rule, applied along the Prüfer elimination walk (smallest current leaf
-first, rooted at n): match a leaf to its parent when both are free.  Leaves
-go children-first, so a vertex still free when it goes has only its parent
-edge left, and a pendant edge lies in some maximum matching; the rule is
-exact on trees with no blossom machinery.  The same walk yields the Prüfer
-code.
+rule, children first along the BFS from n kept at construction: match a
+vertex to its parent when both are free.  A vertex still free when it is
+reached has only its parent edge left, and a pendant edge lies in some
+maximum matching; the rule is exact on trees with no blossom machinery.
 
 One BFS from n at construction proves connectivity and keeps its order and
-parents for the elimination walk and the 2-coloring.  n - 1 edges that
+parents for the matching and the 2-coloring.  n - 1 edges that
 reach all n vertices hold no loop or repeat, so the edge set is built only
 to name the error of a rejected tree.
 
@@ -181,54 +179,21 @@ class LabeledTree:
     def degree_multiset(self) -> DegreeSequence:
         return DegreeSequence(tuple(len(self._adj[v]) for v in range(1, self.n + 1)))
 
-    def _elimination(self) -> list[Edge]:
-        """The (leaf, parent) pairs of the Prüfer elimination, in order.
-
-        Rooted at n, the vertex of smallest label with no children left goes
-        next, paired with its parent (its neighbor toward n, kept from the
-        validating BFS from n); the last pair is (leaf, n).  This is the walk
-        :func:`treenullity.oracle._decode_edges` makes on the tree's Prüfer
-        code, pair for pair, in linear time: a removal can make only its
-        parent a leaf, and one below the pointer is taken at once.
-        """
-        n = self.n
-        if n < 2:
-            return []
-        parent = self._parent
-        kids = [len(a) - 1 for a in self._adj]  # children left; n has no parent
-        kids[n] += 1
-        ptr = 1
-        while kids[ptr]:
-            ptr += 1
-        leaf = ptr
-        pairs: list[Edge] = []
-        for _ in range(n - 2):
-            p = parent[leaf]
-            pairs.append((leaf, p))
-            kids[p] -= 1
-            if p < ptr and not kids[p]:
-                leaf = p
-            else:
-                ptr += 1
-                while kids[ptr]:
-                    ptr += 1
-                leaf = ptr
-        pairs.append((leaf, n))
-        return pairs
-
     def maximum_matching(self) -> Matching:
-        """Maximum matching: along :meth:`_elimination`, each leaf is
-        matched to its parent when both are free.
+        """Maximum matching: children first along the kept BFS from n, each
+        vertex is matched to its parent when both are free.
 
-        Exact on trees: all children of a leaf have gone before it, so if it
-        is still free its parent edge is pendant in what is left, and some
-        maximum matching of that forest contains a given pendant edge.  The
-        tree is immutable, so the result is memoised on it.
+        Exact on trees: reversed BFS order reaches a vertex after all of its
+        descendants, so if it is still free its parent edge is pendant in
+        what is left, and some maximum matching of that forest contains a
+        given pendant edge.  The tree is immutable, so the result is
+        memoised on it.
         """
         if self._matching is None:
-            covered = bytearray(self.n + 1)
+            parent, covered = self._parent, bytearray(self.n + 1)
             matched: list[Edge] = []
-            for v, p in self._elimination():
+            for v in self._order[:0:-1]:  # all but the root n, children first
+                p = parent[v]
                 if not (covered[v] or covered[p]):
                     covered[v] = covered[p] = 1
                     matched.append((v, p))

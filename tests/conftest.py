@@ -66,9 +66,9 @@ def fraction_rank(tree: LabeledTree) -> int:
 def slow_matching_histogram(s: DegreeSequence) -> dict[int, int]:
     """Histogram of matching numbers via the public enumeration API and
     ``LabeledTree.maximum_matching``.  That applies the same rule as the
-    fused loop (along the elimination walk, a leaf to its parent when both
-    are free, exact on trees because a free leaf's edge is pendant), but
-    walks each built tree on its own, not the code being decoded."""
+    fused loop (children first, a vertex to its parent when both are free,
+    exact on trees because a free vertex's edge is pendant), but walks each
+    built tree along its kept BFS, not the code being decoded."""
     hist: Counter[int] = Counter()
     enumerate_trees(s, lambda t: hist.update([t.maximum_matching().size]))
     return dict(hist)

@@ -16,7 +16,6 @@ from treenullity import (
     DegreeSequence,
     EnumerationCapExceeded,
     LabelOutOfRange,
-    Matching,
     bounds,
     conjecture_scan,
     count_trees,
@@ -30,6 +29,7 @@ from treenullity import (
 )
 from treenullity import cli, oracle
 from treenullity.oracle import (
+    _code_nu,
     _decode_edges,
     _matching_counts,
     _next_permutation,
@@ -73,7 +73,8 @@ class TestPrufer:
                 assert prufer_encode(prufer_decode(code, n)) == code
 
     def test_matching_is_the_greedy_along_the_decode(self):
-        # maximum_matching walks its own tree; the decode walks the code.
+        # maximum_matching walks the tree's kept BFS; _code_nu and the greedy
+        # below walk the code.  One rule in two orders gives one size.
         for n in range(2, 8):
             for code in itertools.product(range(1, n + 1), repeat=n - 2):
                 covered, greedy = set(), []
@@ -81,7 +82,11 @@ class TestPrufer:
                     if u not in covered and v not in covered:
                         covered |= {u, v}
                         greedy.append((u, v))
-                assert prufer_decode(code, n).maximum_matching() == Matching(tuple(greedy))
+                t = prufer_decode(code, n)
+                m = t.maximum_matching()
+                deg = [0] + [t.degree(v) for v in range(1, n + 1)]
+                assert m.is_valid_in(t), code
+                assert m.size == _code_nu(code, deg)[0] == len(greedy), code
 
     def test_degrees_match_symbol_counts(self):
         code = (7, 3, 3, 9, 1, 7, 7)
@@ -93,6 +98,11 @@ class TestPrufer:
     @settings(max_examples=200, deadline=None)
     def test_round_trip_random(self, t):
         assert prufer_decode(prufer_encode(t), t.n) == t
+
+    @pytest.mark.parametrize("n,seed", [(1_000, 1), (10_000, 2)])
+    def test_encode_at_scale(self, n, seed):
+        s = random_degree_sequence(n, seed)
+        assert prufer_encode(random_tree(s, seed)) == tuple(_shuffled_symbols(s, seed))
 
 
 class TestCounting:

@@ -168,7 +168,7 @@ class TestMatching:
     def test_star_9(self):
         m = star(9).maximum_matching()
         assert m.size == 1
-        assert m.edges == ((1, 9),)
+        assert m.edges == ((8, 9),)
 
     def test_figure_1a(self):
         t = from_edges(11, FIG_1A_EDGES)
@@ -313,7 +313,7 @@ class TestRank:
     def test_every_labeled_tree_up_to_7(self):
         # One tree per Prüfer code is every labeled tree: 18,248 of them.
         # The rational rank is independent of both the GF(2) rank and the
-        # elimination walk behind maximum_matching.
+        # walk along the kept BFS behind maximum_matching.
         count = 0
         for n in range(2, 8):
             for code in itertools.product(range(1, n + 1), repeat=n - 2):
