@@ -40,6 +40,7 @@ from .treegraph import (
     Edge,
     LabeledTree,
     Matching,
+    _ints,
     _is_label,
     from_edges,
 )
@@ -240,7 +241,7 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
         dc = d[bottom]
         bottom += 1
         frontier = [h - 1 - x for x in range(dc - 1)]
-        edges.extend((c, f) for f in frontier)
+        edges.extend((c, f) if c < f else (f, c) for f in frontier)
         placed += dc - 1
         if placed == n:
             break
@@ -249,7 +250,7 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
             dj = d[top]
             top -= 1
             children = list(range(k + 1, k + dj))
-            edges.extend((vj, ch) for ch in children)
+            edges.extend((vj, ch) if vj < ch else (ch, vj) for ch in children)
             placed += dj - 1
             k += dj - 1
             last_processed = vj
@@ -382,10 +383,11 @@ def _revalidated(tree) -> tuple[LabeledTree | None, str]:
 
     The rebuild is the one check that catches a duck-typed or rewritten
     tree: any object goes in, and ``(None, reason)`` comes out when it does
-    not rebuild.  A ``LabeledTree`` whose edges and derived slots
-    (``_adj``, ``_order``, ``_parent``) equal its rebuild's is returned
-    itself, so the matching its builder memoised is reused: that memo is
-    the one slot trusted without a check.
+    not rebuild.  It keeps the canonical pairs of ``tree.edges`` themselves,
+    so it allocates no pair.  A ``LabeledTree`` whose edges and derived
+    slots (the adjacency lists ``_adj``, the BFS ``_order`` and ``_parent``)
+    equal its rebuild's is returned itself, so the matching its builder
+    memoised is reused: that memo is the one slot trusted without a check.
     """
     try:
         rebuilt = from_edges(tree.n, tree.edges)
@@ -407,7 +409,7 @@ def _bad_fields(cert: MinCertificate | MaxCertificate, n: int) -> list[str]:
     """
 
     def labels(vs) -> bool:  # _is_label on every entry, at C speed
-        ints = isinstance(vs, tuple) and all(map(int.__instancecheck__, vs))
+        ints = isinstance(vs, tuple) and _ints(vs)
         return ints and 1 <= min(vs, default=1) and max(vs, default=n) <= n
 
     if isinstance(cert, MinCertificate):
@@ -539,12 +541,14 @@ def _verify_max(
         )
     )
     # Distinct tree vertices are at distance 2 exactly when they share a
-    # neighbor (they cannot also be adjacent: a tree has no triangle).  Each
-    # member is in at most two pairs, so this costs O(sum of degrees).
-    around = [set(adj[v]) for v in v_k]
+    # neighbor (they cannot also be adjacent: a tree has no triangle).  On
+    # the kept BFS from n (parent[n] = 0, parent[0] = -1) that neighbor is
+    # the parent of both, or the parent of one and the child of the other.
+    parent = tree._parent
     consec = all(
-        v_k[i] != v_k[i + 1] and not around[i].isdisjoint(around[i + 1])
-        for i in range(len(v_k) - 1)
+        u != w
+        and (parent[u] == parent[w] or parent[parent[u]] == w or parent[parent[w]] == u)
+        for u, w in zip(v_k, v_k[1:])
     )
     checks.append(CheckResult("v_k-consecutive-distance-2", consec, ""))
     color = tree.two_coloring()

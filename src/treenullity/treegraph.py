@@ -1,20 +1,27 @@
 """Labeled trees with exact matching, nullity, independence and rank.
 
 Vertices are labeled 1..n.  Every tree is validated on construction, and
-one rule, :func:`_is_label`, decides what a label is: an int in 1..n.
-Anything else, as an edge end, a vertex argument or a Prüfer symbol, raises
-:class:`LabelOutOfRange`.  A :class:`Matching` is tied to no tree, so it
-refuses only ends that are no int; :meth:`Matching.is_valid_in` tests the
-range.  Every operation is pure and exact.  The matching comes from one
-rule, children first along the BFS from n kept at construction: match a
-vertex to its parent when both are free.  A vertex still free when it is
-reached has only its parent edge left, and a pendant edge lies in some
-maximum matching; the rule is exact on trees with no blossom machinery.
+one rule, :func:`_is_label`, decides what a label is: an int in 1..n, and
+no bool.  Anything else, as an edge end, a vertex argument or a Prüfer
+symbol, raises :class:`LabelOutOfRange`.  A :class:`Matching` is tied to no
+tree, so it refuses only ends that are no int or a bool;
+:meth:`Matching.is_valid_in` tests the range.  Every operation is pure and exact.  The matching comes
+from one rule, children first along the BFS from n kept at construction:
+match a vertex to its parent when both are free.  A vertex still free when
+it is reached has only its parent edge left, and a pendant edge lies in
+some maximum matching; the rule is exact on trees with no blossom
+machinery.
 
 One BFS from n at construction proves connectivity and keeps its order and
 parents for the matching and the 2-coloring.  n - 1 edges that
 reach all n vertices hold no loop or repeat, so the edge set is built only
 to name the error of a rejected tree.
+
+A tree and a matching keep each edge they are given that is already a
+plain ``tuple`` (u, v) with u <= v, and rebuild any other; a tree also keeps
+the adjacency lists it fills.  So a tree rebuilt from another's edges, or
+from a Prüfer decode, allocates no pair, and a tree holds no second copy of
+its adjacency.  Every public accessor returns tuples.
 
 The adjacency rank comes from elimination over GF(2) on integer bitmasks,
 so no floating-point rank decision is ever made.  For any forest the
@@ -46,8 +53,27 @@ Edge = tuple[int, int]
 
 
 def _is_label(v, n: int) -> bool:
-    """The one label rule: ``v`` is a vertex of a tree on 1..n."""
-    return isinstance(v, int) and 1 <= v <= n
+    """The one label rule: ``v`` is a vertex of a tree on 1..n.  The type
+    test is exact, so a bool, which is an int, is no label."""
+    return type(v) is int and 1 <= v <= n
+
+
+def _ints(values: Iterable) -> bool:
+    """The type test of :func:`_is_label` on every value, at C speed."""
+    return {int}.issuperset(map(type, values))
+
+
+def _pair(e) -> Edge:
+    u, v = e  # fails on anything that is no pair
+    return (u, v) if u <= v else (v, u)
+
+
+def _canonical(pairs: Iterable) -> list[Edge]:
+    """The pairs as (u, v) with u <= v, sorted.  A plain tuple that is
+    already such a pair is kept itself; any other pair is rebuilt."""
+    return sorted([
+        e if type(e) is tuple and len(e) == 2 and e[0] <= e[1] else _pair(e) for e in pairs
+    ])
 
 
 @dataclass(frozen=True)
@@ -58,8 +84,8 @@ class Matching:
 
     def __post_init__(self) -> None:
         try:
-            canon = tuple(sorted([(u, v) if u <= v else (v, u) for u, v in self.edges]))
-            ints = all(map(int.__instancecheck__, chain.from_iterable(canon)))
+            canon = tuple(_canonical(self.edges))
+            ints = _ints(chain.from_iterable(canon))
         except (TypeError, ValueError):
             ints = False
         if not ints:  # the label rule of _is_label, short of the range
@@ -93,20 +119,25 @@ class LabeledTree:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_matching", None)
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        # This is _is_label at no cost per edge: a label that is no int fails
-        # in the sort or as a list index, and an edge that is no pair unpacking.
+        # This is _is_label at almost no cost per edge: a label that is no int
+        # fails in the sort or as a list index, and an edge that is no pair
+        # unpacking.  A bool passes the range check only as 1, and the edges
+        # at 1 lead canon (u <= v), so only they take the exact type test.
         try:
-            canon = sorted([(u, v) if u <= v else (v, u) for u, v in edges])
+            canon = _canonical(edges)
             for u, v in canon:
                 if not (1 <= u <= v <= n):
                     raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
                 adj[u].append(v)
                 adj[v].append(u)
+            ints = _ints(chain.from_iterable(canon[: len(adj[1]) if canon else 0]))
         except (TypeError, ValueError):
-            raise LabelOutOfRange(f"edges must be pairs of integer labels in 1..{n}") from None
+            ints = False
+        if not ints:
+            raise LabelOutOfRange(f"edges must be pairs of integer labels in 1..{n}")
         object.__setattr__(self, "edges", tuple(canon))
         # canon is sorted with u <= v, so every list was filled in ascending order
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "_adj", adj)
         self._validate()
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -161,7 +192,7 @@ class LabeledTree:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_label(v)
-        return self._adj[v]
+        return tuple(self._adj[v])
 
     def degree(self, v: int) -> int:
         self._check_label(v)
@@ -196,7 +227,7 @@ class LabeledTree:
                 p = parent[v]
                 if not (covered[v] or covered[p]):
                     covered[v] = covered[p] = 1
-                    matched.append((v, p))
+                    matched.append((v, p) if v < p else (p, v))
             object.__setattr__(self, "_matching", Matching(tuple(matched)))
         return self._matching
 

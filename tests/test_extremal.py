@@ -185,13 +185,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
     def test_consecutive_distance_2(self, d):
-        # The second connector is replaced by a vertex at distance d from the
-        # first; only d = 2 may pass.
+        # V_K is replaced by each pair of vertices at distance d, so siblings
+        # and grandparents of the BFS from n both occur; only d = 2 may pass.
         cert = build_max(FIG_2B)
-        u = cert.v_k[0]
-        v = min(w for w in range(1, cert.tree.n + 1) if cert.tree.distance(u, w) == d)
-        report = verify_certificate(dataclasses.replace(cert, v_k=(u, v)), FIG_2B)
-        assert _check(report, "v_k-consecutive-distance-2").passed is (d == 2)
+        labels = range(1, cert.tree.n + 1)
+        pairs = [(u, v) for u in labels for v in labels if cert.tree.distance(u, v) == d]
+        assert pairs
+        for u, v in pairs:
+            report = verify_certificate(dataclasses.replace(cert, v_k=(u, v)), FIG_2B)
+            assert _check(report, "v_k-consecutive-distance-2").passed is (d == 2)
 
     @pytest.mark.parametrize(
         "forged, failing",
@@ -336,7 +338,7 @@ FORGED_FIELDS = {
         + [SHAPE] * 2,
         "omega": [SHAPE] * 7
         + [{"omega-counts-v_k", "omega-annihilation-bounds", "p_k-path", "m_k-on-path"}],
-        "v_mk": [SHAPE, {"omega-counts-v_k", "p_k-path"}] + [SHAPE] * 5 + [{"p_k-path"}],
+        "v_mk": [SHAPE, {"omega-counts-v_k", "p_k-path"}] + [SHAPE] * 6,  # True is no label
         "l_mk": [SHAPE] * 7
         + [{"l_mk-count", "internal-edge-identity", "omega-annihilation-bounds"}],
         "p_k": [SHAPE] * 4 + [{"p_k-path", "m_k-on-path"}] * 2 + [SHAPE] * 2,
@@ -398,6 +400,14 @@ class TestCertificateBoundary:
         if failing == SHAPE:
             assert [c.name for c in report.checks] == ["tree-structure", "certificate-shape"]
             assert report.checks[-1].detail == f"bad {field}"
+
+    def test_bool_in_v_k_fails_the_shape_check(self):
+        cert = build_max(OMEGA_3)
+        forged = dataclasses.replace(cert, v_k=cert.v_k[:-1] + (True,))
+        report = verify_certificate(forged, OMEGA_3)
+        assert [(c.name, c.passed, c.detail) for c in report.checks[1:]] == [
+            ("certificate-shape", False, "bad v_k")
+        ]
 
     def test_empty_v_k_with_omega_3(self):
         cert = build_max(OMEGA_3)

@@ -1,6 +1,8 @@
 """Labeled-tree structure, matching, nullity, rank and serialization."""
 
+import collections
 import itertools
+import operator
 import random
 import time
 
@@ -51,6 +53,7 @@ class TestConstruction:
         for v in range(1, t.n + 1):
             nbrs = rebuilt.neighbors(v)
             assert list(nbrs) == sorted(nbrs) and nbrs == t.neighbors(v)
+            assert type(nbrs) is tuple
 
     def test_single_edge(self):
         t = from_edges(2, [(1, 2)])
@@ -94,10 +97,30 @@ class TestConstruction:
         with pytest.raises(error):
             from_edges(n, edges)
 
-    @pytest.mark.parametrize("bad", [(1, 2, 3), (1,)])
+    def test_canonical_pairs_are_kept(self):
+        # A tree or matching rebuilt from another's edges holds its pairs.
+        t = from_edges(11, FIG_1A_EDGES)
+        assert all(map(operator.is_, from_edges(t.n, t.edges).edges, t.edges))
+        m = t.maximum_matching()
+        assert all(map(operator.is_, Matching(m.edges).edges, m.edges))
+
+    def test_other_pairs_are_rebuilt(self):
+        Pair = collections.namedtuple("Pair", "u v")
+        expected = tuple(sorted((min(e), max(e)) for e in FIG_1A_EDGES))
+        for edges in (
+            [list(e) for e in FIG_1A_EDGES],
+            [(v, u) for u, v in FIG_1A_EDGES],
+            [Pair(*e) for e in FIG_1A_EDGES],
+        ):
+            for got in (from_edges(11, edges).edges, Matching(tuple(edges)).edges):
+                assert got == expected and all(type(e) is tuple for e in got)
+
+    @pytest.mark.parametrize("bad", [(1, 2, 3), (1,), "12", (1.0, 2.0)])
     def test_edge_not_a_pair(self, bad):
         with pytest.raises(LabelOutOfRange, match="edges must be pairs"):
             from_edges(3, [bad, (2, 3)])
+        with pytest.raises(LabelOutOfRange):
+            Matching((bad, (2, 3)))
 
     @pytest.mark.parametrize("label", [2.0, "2", None])
     def test_label_not_an_int(self, label):
@@ -116,7 +139,7 @@ class TestLabelRule:
 
     @pytest.mark.parametrize(
         "x, ok", [(2, True), (2.0, False), ("2", False), (None, False),
-                  (0, False), (4, False), (-1, False)],
+                  (0, False), (4, False), (-1, False), (True, False)],
     )
     def test_entry_points(self, x, ok):
         assert _is_label(x, 3) is ok
@@ -134,7 +157,7 @@ class TestLabelRule:
             else:
                 with pytest.raises(LabelOutOfRange):
                     call()
-        if isinstance(x, int):  # an int label is in or out of range in the tree
+        if type(x) is int:  # an int label is in or out of range in the tree
             assert Matching(((1, x),)).is_valid_in(t) is ok
         else:  # anything else is no label, so no matching edge end either
             with pytest.raises(LabelOutOfRange):
@@ -226,11 +249,6 @@ class TestMatching:
         else:
             with pytest.raises(LabelOutOfRange):
                 Matching(edges)
-
-    def test_bool_label_keeps_its_verdict(self):
-        # bool is an int, so True names vertex 1.
-        assert Matching(((True, 2),)).is_valid_in(path(4)) is True
-        assert Matching(((True, 3),)).is_valid_in(path(4)) is False
 
     @given(labeled_trees())
     @settings(max_examples=200, deadline=None)
