@@ -368,14 +368,21 @@ def internal_leaf_adjacency_violations(
     internal non-connector vertices touch a leaf.  For an arbitrary
     ``(tree, v_k)`` pair it is simply every leafless internal vertex
     outside ``v_k``, wherever it lies.
+
+    One pass over the adjacency lists marks each leaf's neighbour in a
+    ``bytearray``, and one more filters the vertices; no set of pairs over
+    the tree is built.
     """
-    members, adj = set(v_k), tree._adj
-    out = []
-    for v in range(1, tree.n + 1):
-        if len(adj[v]) > 1 and v not in members:
-            if not any(len(adj[u]) == 1 for u in adj[v]):
-                out.append(v)
-    return tuple(out)
+    adj = tree._adj
+    near_leaf = bytearray(len(adj))
+    for nbrs in adj:
+        if len(nbrs) == 1:
+            near_leaf[nbrs[0]] = 1
+    members = set(v_k)
+    return tuple(
+        v for v, nbrs in enumerate(adj)
+        if not near_leaf[v] and len(nbrs) > 1 and v not in members
+    )
 
 
 def _revalidated(tree) -> tuple[LabeledTree | None, str]:
@@ -437,17 +444,22 @@ def _common_checks(
     s: DegreeSequence,
     expected_nu: int,
     matchings: dict[str, Matching],
+    roles: dict[str, bool],
     primary: str,
     rank_limit: int,
 ) -> list[CheckResult]:
+    """The checks both kinds share.  ``matching-<name>-valid`` passes when
+    the matching is one of the tree and plays its role, where ``roles``
+    gives the verdict on that role."""
     checks: list[CheckResult] = []
     degrees = tuple(sorted(map(len, tree._adj[1:])))
-    detail = f"tree {','.join(map(str, degrees))} vs input {s}"
-    checks.append(CheckResult("degree-multiset", degrees == s.degrees, detail))
+    same = degrees == s.degrees
+    text = str(s)  # rendered once: the tree's half is the same bytes when same
+    detail = f"tree {text if same else ','.join(map(str, degrees))} vs input {text}"
+    checks.append(CheckResult("degree-multiset", same, detail))
     for name, m in matchings.items():
-        checks.append(
-            CheckResult(f"matching-{name}-valid", m.is_valid_in(tree), f"{m.size} edges")
-        )
+        valid = m.is_valid_in(tree) and roles.get(name, True)
+        checks.append(CheckResult(f"matching-{name}-valid", valid, f"{m.size} edges"))
     nu = tree.maximum_matching().size
     checks.append(
         CheckResult(
@@ -479,7 +491,9 @@ def _verify_min(
     cert: MinCertificate, tree: LabeledTree, s: DegreeSequence, rank_limit: int
 ) -> list[CheckResult]:
     b = bounds(s)
-    checks = _common_checks(tree, s, b.nu_max, {"witness": cert.matching}, "witness", rank_limit)
+    checks = _common_checks(
+        tree, s, b.nu_max, {"witness": cert.matching}, {}, "witness", rank_limit
+    )
     n, l = s.n, b.l
     leafy = l >= (n + 1) // 2
     block = cert.path_block
@@ -493,16 +507,16 @@ def _verify_min(
         )
     )
     if not many:
-        block_set = set(block)
-        induced = [(u, v) for u, v in tree.edges if u in block_set and v in block_set]
+        # The block must induce exactly the path of its consecutive pairs.  A
+        # forest on k vertices has at most k - 1 edges, and a repeated label
+        # leaves fewer than k vertices for the k - 1 pairs; so k distinct
+        # labels whose consecutive pairs are tree edges, by the kept BFS
+        # parents, induce those pairs and no other edge.
+        parent = tree._parent
         is_path = (
-            len(block) == n - 2 * l
-            and len(induced) == len(block) - 1
-            and set(induced)
-            == {
-                (min(block[t], block[t + 1]), max(block[t], block[t + 1]))
-                for t in range(len(block) - 1)
-            }
+            0 < len(block) == n - 2 * l
+            and len(set(block)) == len(block)
+            and all(parent[u] == v or parent[v] == u for u, v in zip(block, block[1:]))
         )
         checks.append(
             CheckResult("path-block", is_path, f"{len(block)} vertices, expected {n - 2 * l}")
@@ -514,17 +528,29 @@ def _verify_max(
     cert: MaxCertificate, tree: LabeledTree, s: DegreeSequence, rank_limit: int
 ) -> list[CheckResult]:
     b = bounds(s)
+    n, l, a = s.n, b.l, b.a
+    omega, v_k, v_mk, p_k = cert.omega, cert.v_k, cert.v_mk, cert.p_k
+    adj = tree._adj
+    on_path = set(p_k)
+    # V_J, the vertices M_J serves: the internal neighbours of V_K off P_K
+    # (none for omega = 0).  M_J gives each of them one edge to a leaf; an
+    # end is read in adj only once the edge is known to be a tree edge, as
+    # M_J may hold any int.
+    v_j = {u for v in v_k for u in adj[v] if len(adj[u]) > 1 and u not in on_path}
+    m_j_serves = cert.m_j.size == len(v_j) and all(
+        (u in v_j and w in adj[u] and len(adj[w]) == 1)
+        or (w in v_j and u in adj[w] and len(adj[u]) == 1)
+        for u, w in cert.m_j.edges
+    )
     checks = _common_checks(
         tree,
         s,
         b.nu_min,
         {"m_k": cert.m_k, "m_j": cert.m_j, "m_s": cert.m_s},
+        {"m_j": m_j_serves},
         "m_s",
         rank_limit,
     )
-    n, l, a = s.n, b.l, b.a
-    omega, v_k, v_mk = cert.omega, cert.v_k, cert.v_mk
-    adj = tree._adj
     checks.append(
         CheckResult(
             "omega-counts-v_k",
@@ -581,32 +607,49 @@ def _verify_max(
             )
         )
 
-    # Distinct members of P_K keep the adjacency lookups within O(sum of
-    # degrees).  V_K may be shorter than omega says, so its head is sliced.
-    p_k = cert.p_k
+    # V_K may be shorter than omega says, so its head is sliced.  A
+    # consecutive pair is a tree edge when one is the other's BFS parent.
     if omega == 0:
         p_k_ok = p_k == ()
     else:
         p_k_ok = (
             len(p_k) == 2 * omega - 1
-            and len(set(p_k)) == len(p_k)
+            and len(on_path) == len(p_k)
             and p_k[:1] == v_k[:1]
             and p_k[-1] == v_mk
-            and set(v_k) <= set(p_k)
-            and all(b in adj[a] for a, b in zip(p_k, p_k[1:]))
+            and on_path.issuperset(v_k)
+            and all(parent[u] == w or parent[w] == u for u, w in zip(p_k, p_k[1:]))
         )
     checks.append(CheckResult("p_k-path", p_k_ok, f"{len(p_k)} vertices"))
-    p_k_edges = {(min(a, b), max(a, b)) for a, b in zip(p_k, p_k[1:])}
+    # M_K's edges are canonical, P_K's pairs are in path order: look up both.
+    p_k_pairs = set(zip(p_k, p_k[1:]))
     checks.append(
         CheckResult(
             "m_k-on-path",
-            set(cert.m_k.edges) <= p_k_edges and cert.m_k.size == max(omega - 1, 0),
+            all((u, w) in p_k_pairs or (w, u) in p_k_pairs for u, w in cert.m_k.edges)
+            and cert.m_k.size == max(omega - 1, 0),
             f"|m_k| = {cert.m_k.size}",
         )
     )
+    # M_s is M_K and M_J plus one edge at v_mk exactly when v_mk has a leaf;
+    # a star (omega = 0) has M_K = M_J = {} and M_s one edge at its hub n.
+    m_k, m_j, m_s = cert.m_k.edges, cert.m_j.edges, cert.m_s.edges
+    if omega == 0:
+        composed = not m_k and not m_j and len(m_s) == 1 and n in m_s[0]
+    else:
+        kept = set(m_s)
+        extra = kept.difference(m_k, m_j)
+        composed = (
+            kept.issuperset(m_k)
+            and kept.issuperset(m_j)
+            and len(extra) == (1 if actual_l_mk else 0)
+            and all(v_mk in e for e in extra)
+        )
     checks.append(
         CheckResult(
-            "m_s-size-formula", cert.m_s.size == n - a, f"{cert.m_s.size} vs n - a = {n - a}"
+            "m_s-size-formula",
+            cert.m_s.size == n - a and composed,
+            f"{cert.m_s.size} vs n - a = {n - a}",
         )
     )
 
@@ -614,7 +657,6 @@ def _verify_max(
     # Degree-2 vertices *on* P_K between two connectors legitimately have no
     # leaf neighbor; they are listed in the detail for visibility.
     strict = internal_leaf_adjacency_violations(tree, v_k)
-    on_path = set(p_k)
     off_path = tuple(v for v in strict if v not in on_path)
     detail = "no exceptions" if not strict else (
         f"on-path degree-2 exceptions {list(strict)}" if not off_path

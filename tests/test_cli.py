@@ -281,6 +281,31 @@ def test_golden_outputs(capsys, name):
     assert digest.hexdigest() == GOLDEN_DIGESTS[name]
 
 
+# verify at n = 2000, where the path block, P_K and the off-path leaf scan
+# run over long stretches and the rank cross-check is skipped: a random
+# sequence, and one with 300 leaves, 298 degree-3 and 1,402 degree-2 vertices.
+GOLDEN_VERIFY_SEQUENCES = {
+    "random-2000": str(random_degree_sequence(2000, seed=7)),
+    "path-like-2000": ",".join(["1"] * 300 + ["2"] * 1402 + ["3"] * 298),
+}
+
+GOLDEN_VERIFY_DIGESTS = {
+    "path-like-2000": "a0435d0527dcaf9f52f64a106f7c63538c8bcef1b567efa42815c1c13043d110",
+    "random-2000": "e9d2012a6125441812a71637b8e4244e5d10264a3ff806dc0eb92e640c7dc248",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY_DIGESTS))
+def test_golden_verify_at_scale(capsys, name):
+    """Exit code, stdout and stderr of verify in json and table, byte for byte."""
+    text = GOLDEN_VERIFY_SEQUENCES[name]
+    digest = hashlib.sha256()
+    for command in (("verify",), ("verify", "--format", "table")):
+        code, out, err = invoke(capsys, command[0], text, *command[1:])
+        digest.update(f"{' '.join(command)}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == GOLDEN_VERIFY_DIGESTS[name]
+
+
 # Each golden sequence with n <= 11 runs exhaustively; fig1a and random-153
 # also run the sampler.  Every run is taken in json and in table format.
 GOLDEN_CONJECTURE_EXHAUSTIVE = ("fig1a", "two-internal-3s", "near-path", "star",

@@ -1,6 +1,8 @@
 """Extremal tree constructions and their certificates."""
 
 import dataclasses
+import itertools
+import random
 import time
 import types
 
@@ -17,6 +19,7 @@ from treenullity import (
     build_min,
     internal_leaf_adjacency_violations,
     parse_sequence,
+    prufer_decode,
     random_degree_sequence,
     stats,
     tree_degree_sequences,
@@ -165,7 +168,9 @@ class TestVerify:
         cert = build_min(FIG_1A)
         report = verify_certificate(cert, FIG_1B)
         assert not report.ok
-        assert any(c.name == "degree-multiset" and not c.passed for c in report.checks)
+        entry = _check(report, "degree-multiset")
+        assert not entry.passed
+        assert entry.detail == f"tree {FIG_1A} vs input {FIG_1B}"
 
     def test_detects_wrong_omega(self):
         cert = build_max(FIG_2B)
@@ -207,10 +212,11 @@ class TestVerify:
             ({"v_k": ("4", 7)}, _shape("v_k")),
             ({"v_k": (99,), "omega": 1, "v_mk": 99, "p_k": (99,)}, _shape("v_k", "v_mk", "p_k")),
             # Labels of the tree are well-formed, so the checks judge them.
+            # Without 7 in V_K, M_J's edge (8, 13) serves no V_J vertex.
             (
                 {"v_k": (4, 4)},
                 {"v_k-internal-increasing", "v_k-consecutive-distance-2",
-                 "internal-edge-identity"},
+                 "internal-edge-identity", "matching-m_j-valid"},
             ),
             # P_K is (4, 14, 7).
             ({"p_k": (4, 14.0, 7)}, _shape("p_k")),
@@ -237,6 +243,35 @@ class TestVerify:
         assert cert.path_block == (4, 5, 6) and verify_certificate(cert, s).ok
         report = verify_certificate(dataclasses.replace(cert, path_block=block), s)
         assert {c.name: c.detail for c in report.failures()} == _shape("path_block")
+
+    @pytest.mark.parametrize(
+        "kind, s, forged, failing",
+        [
+            # FEW_LEAVES has the path block (4, 5, 6), reversed, rotated by
+            # one, and with a repeated label.
+            ("min", FEW_LEAVES, {"path_block": (6, 5, 4)}, set()),
+            ("min", FEW_LEAVES, {"path_block": (5, 6, 4)}, {"path-block"}),
+            ("min", FEW_LEAVES, {"path_block": (4, 5, 4)}, {"path-block"}),
+            ("min", FEW_LEAVES, {"path_block": (5, 4, 5)}, {"path-block"}),
+            (
+                "min",
+                MANY_LEAVES,
+                {"branch": BRANCH_FEW_LEAVES, "path_block": ()},
+                {"branch-condition", "path-block"},
+            ),
+            # OMEGA_3 has P_K (4, 12, 6, 11, 8) and M_K ((4, 12), (6, 11)).
+            ("max", OMEGA_3, {"p_k": (8, 11, 6, 12, 4)}, {"p_k-path"}),
+            ("max", OMEGA_3, {"p_k": (12, 6, 11, 8, 4)}, {"p_k-path", "m_k-on-path"}),
+            # No consecutive pair is a tree edge, although both M_K edges
+            # join two P_K vertices that are adjacent in the tree.
+            ("max", OMEGA_3, {"p_k": (4, 6, 8, 12, 11)}, {"p_k-path", "m_k-on-path"}),
+        ],
+    )
+    def test_reordered_path_block_and_p_k(self, kind, s, forged, failing):
+        cert = build_min(s) if kind == "min" else build_max(s)
+        assert verify_certificate(cert, s).ok
+        report = verify_certificate(dataclasses.replace(cert, **forged), s)
+        assert {c.name for c in report.failures()} == failing
 
     def test_detects_leafless_internal_vertex_off_path(self):
         # Hanging a two-edge path at a leaf x makes x internal, off P_K and
@@ -314,6 +349,39 @@ class TestVerify:
         assert all(set(c) == {"name", "passed", "detail"} for c in d["checks"])
 
 
+def _leafless_internal(tree):
+    """The definition, read off the public accessors: every internal vertex
+    with no neighbour of degree 1, before V_K is taken out."""
+    degree = {v: tree.degree(v) for v in range(1, tree.n + 1)}
+    return [
+        v for v in degree
+        if degree[v] > 1 and all(degree[u] != 1 for u in tree.neighbors(v))
+    ]
+
+
+class TestInternalLeafAdjacency:
+    def test_matches_the_definition_on_every_small_tree(self):
+        # Every labeled tree with n <= 7, with V_K empty, each single vertex
+        # and three seeded subsets.
+        rng = random.Random(17)
+        trees = [from_edges(1, [])] + [
+            prufer_decode(code, n)
+            for n in range(2, 8)
+            for code in itertools.product(range(1, n + 1), repeat=n - 2)
+        ]
+        assert len(trees) == 1 + sum(n ** (n - 2) for n in range(2, 8))
+        for tree in trees:
+            labels = range(1, tree.n + 1)
+            bare = _leafless_internal(tree)
+            subsets = [()] + [(v,) for v in labels]
+            if tree.n >= 2:
+                sizes = [rng.randint(2, tree.n) for _ in range(3)]
+                subsets += [tuple(sorted(rng.sample(labels, k))) for k in sizes]
+            for v_k in subsets:
+                want = tuple(v for v in bare if v not in v_k)
+                assert internal_leaf_adjacency_violations(tree, v_k) == want, (tree, v_k)
+
+
 # One value of each kind a forged field may hold.  () and (1, 2) are tuples
 # of labels and True is the int 1, so they pass the shape step wherever a
 # tuple of labels or an int is asked for; the checks then judge them.
@@ -329,11 +397,13 @@ FORGED_FIELDS = {
     },
     "max": {
         "tree": [TREE] * 8,
+        # M_J serves the internal neighbours of V_K off P_K, so a forged
+        # V_K or P_K changes the vertices M_J must serve.
         "v_k": [SHAPE] * 4
         + [
-            {"omega-counts-v_k", "internal-edge-identity", "p_k-path"},
+            {"omega-counts-v_k", "internal-edge-identity", "p_k-path", "matching-m_j-valid"},
             {"omega-counts-v_k", "v_k-internal-increasing", "internal-edge-identity",
-             "p_k-path"},
+             "p_k-path", "matching-m_j-valid"},
         ]
         + [SHAPE] * 2,
         "omega": [SHAPE] * 7
@@ -341,7 +411,9 @@ FORGED_FIELDS = {
         "v_mk": [SHAPE, {"omega-counts-v_k", "p_k-path"}] + [SHAPE] * 6,  # True is no label
         "l_mk": [SHAPE] * 7
         + [{"l_mk-count", "internal-edge-identity", "omega-annihilation-bounds"}],
-        "p_k": [SHAPE] * 4 + [{"p_k-path", "m_k-on-path"}] * 2 + [SHAPE] * 2,
+        "p_k": [SHAPE] * 4
+        + [{"p_k-path", "m_k-on-path", "matching-m_j-valid"}] * 2
+        + [SHAPE] * 2,
         "m_k": [SHAPE] * 8,
         "m_j": [SHAPE] * 8,
         "m_s": [SHAPE] * 8,
@@ -414,9 +486,55 @@ class TestCertificateBoundary:
         assert cert.omega == 3
         report = verify_certificate(dataclasses.replace(cert, v_k=()), OMEGA_3)
         assert {c.name for c in report.failures()} == {
-            "omega-counts-v_k", "internal-edge-identity", "p_k-path"
+            "omega-counts-v_k", "internal-edge-identity", "p_k-path", "matching-m_j-valid"
         }
         assert _check(report, "omega-counts-v_k").detail == "omega = 3, |v_k| = 0"
+
+    @pytest.mark.parametrize(
+        "forged, failing",
+        [
+            # OMEGA_3 has V_J = {10, 13}, the internal neighbours of
+            # V_K = (4, 6, 8) off P_K, and M_J = ((1, 13), (9, 10)).
+            ({"m_j": Matching(())}, {"matching-m_j-valid", "m_s-size-formula"}),
+            # 8 is no leaf; M_s holds M_K and this M_J, so only M_J fails.
+            (
+                {
+                    "m_j": Matching(((1, 13), (8, 10))),
+                    "m_s": Matching(((1, 13), (4, 12), (6, 11), (8, 10))),
+                },
+                {"matching-m_j-valid"},
+            ),
+            # l_mk = 0, so M_s holds no edge beyond M_K and M_J; this one
+            # trades M_J's (9, 10) for (8, 10), at v_mk.
+            ({"m_s": Matching(((1, 13), (4, 12), (6, 11), (8, 10)))}, {"m_s-size-formula"}),
+            # The same M_s with M_J cut to match: M_s is then M_K and M_J plus
+            # one edge at v_mk, which l_mk = 0 forbids, and 10 goes unserved.
+            (
+                {
+                    "m_j": Matching(((1, 13),)),
+                    "m_s": Matching(((1, 13), (4, 12), (6, 11), (8, 10))),
+                },
+                {"matching-m_j-valid", "m_s-size-formula"},
+            ),
+        ],
+    )
+    def test_m_j_and_m_s_witness_the_connectors(self, forged, failing):
+        cert = build_max(OMEGA_3)
+        assert cert.m_j.edges == ((1, 13), (9, 10)) and cert.l_mk == 0
+        report = verify_certificate(dataclasses.replace(cert, **forged), OMEGA_3)
+        assert {c.name for c in report.failures()} == failing
+        m_j, m_s = forged.get("m_j", cert.m_j), forged.get("m_s", cert.m_s)
+        assert _check(report, "matching-m_j-valid").detail == f"{m_j.size} edges"
+        assert _check(report, "m_s-size-formula").detail == f"{m_s.size} vs n - a = 4"
+
+    def test_second_v_mk_edge_in_m_s(self):
+        cert = build_max(FIG_2B)
+        assert cert.v_mk == 7 and cert.l_mk == 2 and (7, 11) in cert.m_s.edges
+        forged = dataclasses.replace(cert, m_s=Matching(cert.m_s.edges + ((7, 12),)))
+        report = verify_certificate(forged, FIG_2B)
+        assert {c.name for c in report.failures()} == {
+            "matching-m_s-valid", "matching-m_s-maximum", "m_s-size-formula"
+        }
 
     @pytest.mark.parametrize("kind", ["min", "max"])
     def test_duck_typed_tree_verifies(self, kind):
