@@ -63,7 +63,6 @@ from .treegraph import (
     DEFAULT_RANK_LIMIT,
     LabeledTree,
     Matching,
-    from_edges,
     parse_edge_list,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "conjecture_scan",
     "count_trees",
     "enumerate_trees",
-    "from_edges",
     "internal_leaf_adjacency_violations",
     "literal_characterization",
     "min_max_equal",

@@ -14,7 +14,6 @@ import re
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from typing import Iterator
 
 from .errors import InvalidDegree, NotTreeSum, ParseError, TooSmall
 
@@ -51,15 +50,6 @@ class DegreeSequence:
     @property
     def n(self) -> int:
         return len(self.degrees)
-
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.degrees)
-
-    def __getitem__(self, i: int) -> int:
-        return self.degrees[i]
 
     def __str__(self) -> str:
         return ",".join(map(str, self.degrees))

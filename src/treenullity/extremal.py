@@ -42,7 +42,6 @@ from .treegraph import (
     Matching,
     _ints,
     _is_label,
-    from_edges,
 )
 
 BRANCH_MANY_LEAVES = "l_ge_half"  # l >= ceil(n/2): every internal vertex pairs with a leaf
@@ -111,7 +110,7 @@ def _require(condition: bool, message: str) -> None:
 def _finish_tree(n: int, edges: list[Edge], s: DegreeSequence, what: str) -> LabeledTree:
     """Validate the raw edge list and its degree multiset."""
     try:
-        tree = from_edges(n, edges)
+        tree = LabeledTree(n, edges)
     except InputError as exc:
         raise ConstructionInvariantViolated(f"{what}: bad edge set ({exc})") from exc
     _require(
@@ -142,7 +141,7 @@ def build_min(s: DegreeSequence) -> MinCertificate:
     """
     n = s.n
     if n == 2:
-        tree = from_edges(2, [(1, 2)])
+        tree = LabeledTree(2, [(1, 2)])
         return MinCertificate(
             tree=tree,
             branch=BRANCH_MANY_LEAVES,
@@ -397,7 +396,7 @@ def _revalidated(tree) -> tuple[LabeledTree | None, str]:
     memoised is reused: that memo is the one slot trusted without a check.
     """
     try:
-        rebuilt = from_edges(tree.n, tree.edges)
+        rebuilt = LabeledTree(tree.n, tree.edges)
     except (AttributeError, InputError) as exc:
         return None, type(exc).__name__
     derived = ("_adj", "_order", "_parent")

@@ -21,7 +21,7 @@ A tree and a matching keep each edge they are given that is already a
 plain ``tuple`` (u, v) with u <= v, and rebuild any other; a tree also keeps
 the adjacency lists it fills.  So a tree rebuilt from another's edges, or
 from a Prüfer decode, allocates no pair, and a tree holds no second copy of
-its adjacency.  Every public accessor returns tuples.
+its adjacency.  The edges of a tree or a matching are a tuple.
 
 The adjacency rank comes from elimination over GF(2) on integer bitmasks,
 so no floating-point rank decision is ever made.  For any forest the
@@ -188,23 +188,6 @@ class LabeledTree:
                     order.append(y)
         return order, parent
 
-    # -- basic accessors ---------------------------------------------------
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_label(v)
-        return tuple(self._adj[v])
-
-    def degree(self, v: int) -> int:
-        self._check_label(v)
-        return len(self._adj[v])
-
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if len(self._adj[v]) == 1)
-
-    def _check_label(self, v: int) -> None:
-        if not _is_label(v, self.n):
-            raise LabelOutOfRange(f"label {v!r} outside 1..{self.n}")
-
     # -- derived quantities --------------------------------------------------
 
     def degree_multiset(self) -> DegreeSequence:
@@ -271,8 +254,9 @@ class LabeledTree:
     def distance(self, u: int, v: int) -> int:
         """Edge count of the unique u-v path: the parents of a BFS from u,
         climbed from v."""
-        self._check_label(u)
-        self._check_label(v)
+        for x in (u, v):
+            if not _is_label(x, self.n):
+                raise LabelOutOfRange(f"label {x!r} outside 1..{self.n}")
         parent, d = self._bfs(u)[1], 0
         while v != u:
             v, d = parent[v], d + 1
@@ -306,11 +290,6 @@ class LabeledTree:
         return "\n".join(lines) + "\n"
 
 
-def from_edges(n: int, pairs: Iterable[Edge]) -> LabeledTree:
-    """Validated tree from an edge list over labels 1..n."""
-    return LabeledTree(n, pairs)
-
-
 def parse_edge_list(text: str) -> LabeledTree:
     """Inverse of :meth:`LabeledTree.to_edge_list`."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
@@ -329,4 +308,4 @@ def parse_edge_list(text: str) -> LabeledTree:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError(f"expected integers, got {ln!r}") from None
-    return from_edges(n, pairs)
+    return LabeledTree(n, pairs)

@@ -63,6 +63,33 @@ def fraction_rank(tree: LabeledTree) -> int:
     return rank
 
 
+def neighbours(tree: LabeledTree, v: int) -> list[int]:
+    """The neighbours of ``v`` in ascending order, read off ``tree.edges``."""
+    return sorted(b if a == v else a for a, b in tree.edges if v in (a, b))
+
+
+def degrees(tree: LabeledTree) -> list[int]:
+    """The degree of each label of ``tree``, counted off ``tree.edges`` in
+    one pass; entry 0 is unused."""
+    deg = [0] * (tree.n + 1)
+    for a, b in tree.edges:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
+def distance(tree: LabeledTree, u: int, v: int) -> int:
+    """Edge count of the u-v path, by a breadth-first search of its own over
+    ``tree.edges``; it shares no code with the library's kept BFS."""
+    seen, frontier, d = {u}, [u], 0
+    while v not in seen:
+        assert frontier, f"{v} is not reachable from {u}"
+        frontier = [y for x in frontier for y in neighbours(tree, x) if y not in seen]
+        seen.update(frontier)
+        d += 1
+    return d
+
+
 def slow_matching_histogram(s: DegreeSequence) -> dict[int, int]:
     """Histogram of matching numbers via the public enumeration API and
     ``LabeledTree.maximum_matching``.  That applies the same rule as the

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from conftest import code_histogram
+from conftest import code_histogram, degrees, distance, neighbours
 from treenullity import (
     DegreeSequence,
     bounds,
@@ -322,11 +322,11 @@ def test_c7_lemma_suite(scale_run):
     for s, cert in _fixture_max_certificates():
         st = stats(s)
         tree = cert.tree
-        assert s.n - 1 - st.l == -cert.l_mk + sum(tree.degree(v) for v in cert.v_k)
+        assert s.n - 1 - st.l == -cert.l_mk + sum(degrees(tree)[v] for v in cert.v_k)
         assert st.a - st.l <= cert.omega <= st.a - st.l + 1
         assert (cert.omega == st.a - st.l) == (cert.l_mk == 0)
         for i in range(cert.omega - 1):
-            assert tree.distance(cert.v_k[i], cert.v_k[i + 1]) == 2
+            assert distance(tree, cert.v_k[i], cert.v_k[i + 1]) == 2
         assert internal_leaf_adjacency_violations(tree, cert.v_k) == ()
     assert scale_run.lemma_failures == []
     _report(
@@ -342,7 +342,8 @@ def _degree_2_middles(cert) -> set[int]:
     P_K alternates connectors and middles, so these are its non-connector
     vertices of degree 2; both of their neighbors are internal connectors.
     """
-    return {v for v in cert.p_k if v not in cert.v_k and cert.tree.degree(v) == 2}
+    deg = degrees(cert.tree)
+    return {v for v in cert.p_k if v not in cert.v_k and deg[v] == 2}
 
 
 def _strict_clause_mismatch(cert) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -369,16 +370,17 @@ def _connector_candidates(tree, s: DegreeSequence):
     """
     st = stats(s)
     n, l, a = s.n, st.l, st.a
-    internal = [v for v in range(1, n + 1) if tree.degree(v) > 1]
+    deg = degrees(tree)
+    internal = [v for v in range(1, n + 1) if deg[v] > 1]
     for omega in (a - l, a - l + 1):
         for v_k in itertools.permutations(internal, omega):
-            last = tree.neighbors(v_k[-1]) if v_k else ()
-            l_mk = sum(1 for u in last if tree.degree(u) == 1)
+            last = neighbours(tree, v_k[-1]) if v_k else ()
+            l_mk = sum(1 for u in last if deg[u] == 1)
             if (omega == a - l) != (l_mk == 0):
                 continue
-            if n - 1 - l != -l_mk + sum(tree.degree(v) for v in v_k):
+            if n - 1 - l != -l_mk + sum(deg[v] for v in v_k):
                 continue
-            if all(tree.distance(v_k[i], v_k[i + 1]) == 2 for i in range(omega - 1)):
+            if all(distance(tree, v_k[i], v_k[i + 1]) == 2 for i in range(omega - 1)):
                 yield v_k
 
 

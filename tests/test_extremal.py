@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import degree_sequences, labeled_trees
+from conftest import degree_sequences, degrees, distance, labeled_trees, neighbours
 from treenullity import (
     ConstructionInvariantViolated,
     DegreeSequence,
+    LabeledTree,
     bounds,
     build_max,
     build_min,
@@ -26,7 +27,7 @@ from treenullity import (
     verify_certificate,
 )
 from treenullity.extremal import BRANCH_FEW_LEAVES, BRANCH_MANY_LEAVES
-from treenullity.treegraph import Matching, from_edges
+from treenullity.treegraph import Matching
 
 FIG_1A = parse_sequence("1,1,1,1,1,1,2,2,3,3,4")
 FIG_1B = parse_sequence("1,1,1,1,2,2,2,2,2,3,3")
@@ -111,7 +112,7 @@ class TestBuildMax:
         assert cert.l_mk == 2
         assert cert.m_s.size == 4
         assert cert.tree.nullity() == 7
-        assert cert.tree.distance(cert.v_k[0], cert.v_k[1]) == 2
+        assert distance(cert.tree, cert.v_k[0], cert.v_k[1]) == 2
 
     def test_figure_2c(self):
         cert = build_max(FIG_2C)
@@ -194,7 +195,7 @@ class TestVerify:
         # and grandparents of the BFS from n both occur; only d = 2 may pass.
         cert = build_max(FIG_2B)
         labels = range(1, cert.tree.n + 1)
-        pairs = [(u, v) for u in labels for v in labels if cert.tree.distance(u, v) == d]
+        pairs = [(u, v) for u in labels for v in labels if distance(cert.tree, u, v) == d]
         assert pairs
         for u, v in pairs:
             report = verify_certificate(dataclasses.replace(cert, v_k=(u, v)), FIG_2B)
@@ -279,8 +280,8 @@ class TestVerify:
         cert = build_max(FIG_2B)
         tree = cert.tree
         n = tree.n
-        x = tree.leaves()[0]
-        planted = from_edges(n + 2, tree.edges + ((x, n + 1), (n + 1, n + 2)))
+        x = degrees(tree).index(1)
+        planted = LabeledTree(n + 2, tree.edges + ((x, n + 1), (n + 1, n + 2)))
         report = verify_certificate(dataclasses.replace(cert, tree=planted), FIG_2B)
         entry = _check(report, "internal-off-path-leaf-adjacency")
         assert not entry.passed
@@ -305,7 +306,7 @@ class TestVerify:
         sequences += [random_degree_sequence(2 + seed % 199, seed) for seed in range(200)]
         for s in sequences:
             for cert in (build_min(s), build_max(s)):
-                rebuilt = dataclasses.replace(cert, tree=from_edges(cert.tree.n, cert.tree.edges))
+                rebuilt = dataclasses.replace(cert, tree=LabeledTree(cert.tree.n, cert.tree.edges))
                 assert (cert.tree._matching is not None or s.n == 2)
                 assert rebuilt.tree._matching is None
                 report = verify_certificate(cert, s).to_json_dict()
@@ -314,7 +315,7 @@ class TestVerify:
 
     def test_rewritten_tree_slot_fails_the_rebuild(self):
         cert = build_min(FIG_1A)
-        tree = from_edges(cert.tree.n, cert.tree.edges)
+        tree = LabeledTree(cert.tree.n, cert.tree.edges)
         object.__setattr__(tree, "edges", tree.edges[1:])
         report = verify_certificate(dataclasses.replace(cert, tree=tree), FIG_1A)
         assert report.checks[0].name == "tree-structure"
@@ -329,7 +330,7 @@ class TestVerify:
         path = tuple((i, i + 1) for i in range(1, 8))
         object.__setattr__(cert.tree, "edges", path)
         report = verify_certificate(cert, s)
-        honest = dataclasses.replace(cert, tree=from_edges(8, path))
+        honest = dataclasses.replace(cert, tree=LabeledTree(8, path))
         assert report == verify_certificate(honest, s)
         assert report.checks[0].passed and not report.ok
         assert not _check(report, "degree-multiset").passed
@@ -339,7 +340,7 @@ class TestVerify:
         # degrees as a tuple, so this is a failed check, not TooSmall.
         s = parse_sequence("1,1,2")
         for cert in (build_min(s), build_max(s)):
-            report = verify_certificate(dataclasses.replace(cert, tree=from_edges(1, [])), s)
+            report = verify_certificate(dataclasses.replace(cert, tree=LabeledTree(1, [])), s)
             assert not _check(report, "degree-multiset").passed
 
     def test_report_serializes(self):
@@ -350,12 +351,12 @@ class TestVerify:
 
 
 def _leafless_internal(tree):
-    """The definition, read off the public accessors: every internal vertex
+    """The definition, read off the tree's edges: every internal vertex
     with no neighbour of degree 1, before V_K is taken out."""
-    degree = {v: tree.degree(v) for v in range(1, tree.n + 1)}
+    deg = degrees(tree)
     return [
-        v for v in degree
-        if degree[v] > 1 and all(degree[u] != 1 for u in tree.neighbors(v))
+        v for v in range(1, tree.n + 1)
+        if deg[v] > 1 and all(deg[u] != 1 for u in neighbours(tree, v))
     ]
 
 
@@ -364,7 +365,7 @@ class TestInternalLeafAdjacency:
         # Every labeled tree with n <= 7, with V_K empty, each single vertex
         # and three seeded subsets.
         rng = random.Random(17)
-        trees = [from_edges(1, [])] + [
+        trees = [LabeledTree(1, [])] + [
             prufer_decode(code, n)
             for n in range(2, 8)
             for code in itertools.product(range(1, n + 1), repeat=n - 2)
@@ -609,6 +610,6 @@ class TestConstructionProperties:
         tree = cert.tree
         assert st.a - st.l <= cert.omega <= st.a - st.l + 1
         assert (cert.omega == st.a - st.l) == (cert.l_mk == 0)
-        assert s.n - 1 - st.l == -cert.l_mk + sum(tree.degree(v) for v in cert.v_k)
+        assert s.n - 1 - st.l == -cert.l_mk + sum(degrees(tree)[v] for v in cert.v_k)
         color = tree.two_coloring()
         assert len({color[v] for v in cert.v_k}) <= 1

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import code_histogram, degree_sequences, labeled_trees, slow_matching_histogram
+from conftest import code_histogram, degree_sequences, degrees, labeled_trees, slow_matching_histogram
 from treenullity import (
     ConstructionInvariantViolated,
     DegreeSequence,
     EnumerationCapExceeded,
     LabelOutOfRange,
+    LabeledTree,
     bounds,
     conjecture_scan,
     count_trees,
@@ -84,15 +85,16 @@ class TestPrufer:
                         greedy.append((u, v))
                 t = prufer_decode(code, n)
                 m = t.maximum_matching()
-                deg = [0] + [t.degree(v) for v in range(1, n + 1)]
+                deg = degrees(t)
                 assert m.is_valid_in(t), code
                 assert m.size == _code_nu(code, deg)[0] == len(greedy), code
 
     def test_degrees_match_symbol_counts(self):
         code = (7, 3, 3, 9, 1, 7, 7)
         t = prufer_decode(code, 9)
+        deg = degrees(t)
         for v in range(1, 10):
-            assert t.degree(v) == code.count(v) + 1
+            assert deg[v] == code.count(v) + 1
 
     @given(labeled_trees(max_n=20))
     @settings(max_examples=200, deadline=None)
@@ -466,15 +468,13 @@ class TestShuffleLanes:
 
 class TestConjectureScan:
     def test_full_interval(self):
-        from treenullity import from_edges
-
         s = parse_sequence("1,1,1,2,2,3")
         scan = conjecture_scan(s)
         assert scan.exhaustive
         assert sorted(scan.witnesses) == [2, 3]
         assert scan.complete
         for nu, edges in scan.witnesses.items():
-            witness = from_edges(6, edges)
+            witness = LabeledTree(6, edges)
             assert witness.maximum_matching().size == nu
             assert witness.degree_multiset() == s
 

@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import randoms
 
-from conftest import fraction_rank, labeled_trees
+from conftest import degrees, distance, fraction_rank, labeled_trees, neighbours
 from treenullity import (
     LabelOutOfRange,
+    LabeledTree,
     LoopOrDuplicate,
     NotConnected,
     SizeLimitExceeded,
     WrongEdgeCount,
     bounds,
-    from_edges,
     parse_edge_list,
     prufer_decode,
     prufer_encode,
@@ -28,11 +28,11 @@ from treenullity.treegraph import Matching, _is_label
 
 
 def path(n):
-    return from_edges(n, [(i, i + 1) for i in range(1, n)])
+    return LabeledTree(n, [(i, i + 1) for i in range(1, n)])
 
 
 def star(n):
-    return from_edges(n, [(i, n) for i in range(1, n)])
+    return LabeledTree(n, [(i, n) for i in range(1, n)])
 
 
 FIG_1A_EDGES = [
@@ -48,40 +48,38 @@ class TestConstruction:
         # Edges in any order and orientation give the same ascending lists.
         edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
         rng.shuffle(edges)
-        rebuilt = from_edges(t.n, edges)
+        rebuilt = LabeledTree(t.n, edges)
         assert rebuilt == t
         for v in range(1, t.n + 1):
-            nbrs = rebuilt.neighbors(v)
-            assert list(nbrs) == sorted(nbrs) and nbrs == t.neighbors(v)
-            assert type(nbrs) is tuple
+            assert rebuilt._adj[v] == neighbours(t, v) == t._adj[v]
 
     def test_single_edge(self):
-        t = from_edges(2, [(1, 2)])
+        t = LabeledTree(2, [(1, 2)])
         assert t.edges == ((1, 2),)
 
     def test_wrong_edge_count(self):
         with pytest.raises(WrongEdgeCount):
-            from_edges(3, [(1, 2), (1, 3), (2, 3)])
+            LabeledTree(3, [(1, 2), (1, 3), (2, 3)])
 
     def test_loop_or_duplicate(self):
         with pytest.raises(LoopOrDuplicate):
-            from_edges(4, [(1, 2), (3, 4), (3, 4)])
+            LabeledTree(4, [(1, 2), (3, 4), (3, 4)])
         with pytest.raises(LoopOrDuplicate):
-            from_edges(2, [(1, 1)])
+            LabeledTree(2, [(1, 1)])
 
     def test_not_connected(self):
         # Triangle plus path: n - 1 distinct edges but two components.
         with pytest.raises(NotConnected):
-            from_edges(6, [(1, 2), (2, 3), (3, 1), (5, 6), (4, 5)])
+            LabeledTree(6, [(1, 2), (2, 3), (3, 1), (5, 6), (4, 5)])
 
     def test_not_connected_counts_from_vertex_1(self):
         # Vertex 1 reaches 3 vertices and vertex n only 2.
         with pytest.raises(NotConnected, match="only 3 of 5"):
-            from_edges(5, [(1, 2), (2, 3), (3, 1), (4, 5)])
+            LabeledTree(5, [(1, 2), (2, 3), (3, 1), (4, 5)])
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
-            from_edges(3, [(1, 2), (2, 4)])
+            LabeledTree(3, [(1, 2), (2, 4)])
 
     @pytest.mark.parametrize(
         "n, edges, error",
@@ -95,12 +93,12 @@ class TestConstruction:
     )
     def test_error_precedence(self, n, edges, error):
         with pytest.raises(error):
-            from_edges(n, edges)
+            LabeledTree(n, edges)
 
     def test_canonical_pairs_are_kept(self):
         # A tree or matching rebuilt from another's edges holds its pairs.
-        t = from_edges(11, FIG_1A_EDGES)
-        assert all(map(operator.is_, from_edges(t.n, t.edges).edges, t.edges))
+        t = LabeledTree(11, FIG_1A_EDGES)
+        assert all(map(operator.is_, LabeledTree(t.n, t.edges).edges, t.edges))
         m = t.maximum_matching()
         assert all(map(operator.is_, Matching(m.edges).edges, m.edges))
 
@@ -112,20 +110,20 @@ class TestConstruction:
             [(v, u) for u, v in FIG_1A_EDGES],
             [Pair(*e) for e in FIG_1A_EDGES],
         ):
-            for got in (from_edges(11, edges).edges, Matching(tuple(edges)).edges):
+            for got in (LabeledTree(11, edges).edges, Matching(tuple(edges)).edges):
                 assert got == expected and all(type(e) is tuple for e in got)
 
     @pytest.mark.parametrize("bad", [(1, 2, 3), (1,), "12", (1.0, 2.0)])
     def test_edge_not_a_pair(self, bad):
         with pytest.raises(LabelOutOfRange, match="edges must be pairs"):
-            from_edges(3, [bad, (2, 3)])
+            LabeledTree(3, [bad, (2, 3)])
         with pytest.raises(LabelOutOfRange):
             Matching((bad, (2, 3)))
 
     @pytest.mark.parametrize("label", [2.0, "2", None])
     def test_label_not_an_int(self, label):
         with pytest.raises(LabelOutOfRange):
-            from_edges(3, [(1, label), (label, 3)])
+            LabeledTree(3, [(1, label), (label, 3)])
 
     def test_immutable(self):
         t = path(3)
@@ -145,9 +143,7 @@ class TestLabelRule:
         assert _is_label(x, 3) is ok
         t = path(3)
         entry_points = [
-            lambda: from_edges(3, [(1, x), (x, 3)]),
-            lambda: t.degree(x),
-            lambda: t.neighbors(x),
+            lambda: LabeledTree(3, [(1, x), (x, 3)]),
             lambda: t.distance(1, x),
             lambda: prufer_decode((x,), 3),
         ]
@@ -165,7 +161,7 @@ class TestLabelRule:
 
     def test_vertex_count_not_an_int(self):
         with pytest.raises(LabelOutOfRange):
-            from_edges(3.0, [(1, 2), (2, 3)])
+            LabeledTree(3.0, [(1, 2), (2, 3)])
         with pytest.raises(LabelOutOfRange):
             prufer_decode((2,), 3.0)
 
@@ -178,7 +174,7 @@ class TestDegreeMultiset:
         assert path(4).degree_multiset().degrees == (1, 1, 2, 2)
 
     def test_figure_1a(self):
-        t = from_edges(11, FIG_1A_EDGES)
+        t = LabeledTree(11, FIG_1A_EDGES)
         assert t.degree_multiset().degrees == (1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 4)
 
 
@@ -194,7 +190,7 @@ class TestMatching:
         assert m.edges == ((8, 9),)
 
     def test_figure_1a(self):
-        t = from_edges(11, FIG_1A_EDGES)
+        t = LabeledTree(11, FIG_1A_EDGES)
         assert t.maximum_matching().size == 5  # n - l
 
     def test_deterministic(self):
@@ -256,7 +252,7 @@ class TestMatching:
         m = t.maximum_matching()
         assert m.is_valid_in(t)
         n = t.n
-        leaf_count = len(t.leaves())
+        leaf_count = degrees(t).count(1)
         if n > 2:
             assert m.size <= min(n - leaf_count, n // 2)
         st = stats(t.degree_multiset())
@@ -271,7 +267,7 @@ class TestMatching:
         if shape == "path":
             t, nu = path(n), n // 2
         else:
-            t, nu = from_edges(n, [(1, v) for v in range(2, n)] + [(n - 1, n)]), 2
+            t, nu = LabeledTree(n, [(1, v) for v in range(2, n)] + [(n - 1, n)]), 2
         start = time.perf_counter()
         assert t.maximum_matching().size == nu
         assert time.perf_counter() - start < 5.0
@@ -290,14 +286,14 @@ class TestNullityIndependence:
     def test_figure_2b_tree(self):
         edges = [(1, 15), (2, 15), (3, 15), (4, 15), (4, 14), (5, 14), (6, 14),
                  (7, 14), (7, 13), (7, 12), (7, 11), (8, 11), (9, 11), (10, 11)]
-        t = from_edges(15, edges)
+        t = LabeledTree(15, edges)
         assert t.nullity() == 7
         assert t.adjacency_rank_exact() == 2 * t.maximum_matching().size
 
     def test_independence_examples(self):
         assert path(4).independence_number() == 2
         assert star(9).independence_number() == 8
-        assert from_edges(11, FIG_1A_EDGES).independence_number() == 6
+        assert LabeledTree(11, FIG_1A_EDGES).independence_number() == 6
 
     @given(labeled_trees())
     @settings(max_examples=150, deadline=None)
@@ -310,7 +306,7 @@ class TestNullityIndependence:
 
 class TestRank:
     def test_single_edge(self):
-        assert from_edges(2, [(1, 2)]).adjacency_rank_exact() == 2
+        assert LabeledTree(2, [(1, 2)]).adjacency_rank_exact() == 2
 
     def test_star_4(self):
         assert star(4).adjacency_rank_exact() == 2
@@ -368,21 +364,29 @@ class TestDistance:
 
     @given(labeled_trees())
     @settings(max_examples=100, deadline=None)
+    def test_matches_the_oracle(self, t):
+        for u in (1, t.n):
+            assert [t.distance(u, v) for v in range(1, t.n + 1)] == [
+                distance(t, u, v) for v in range(1, t.n + 1)
+            ]
+
+    @given(labeled_trees())
+    @settings(max_examples=100, deadline=None)
     def test_two_coloring_matches_parity(self, t):
         color = t.two_coloring()
         for u, v in t.edges:
             assert color[u] != color[v]
-        assert (color[1] == color[t.n]) == (t.distance(1, t.n) % 2 == 0)
+        assert (color[1] == color[t.n]) == (distance(t, 1, t.n) % 2 == 0)
 
     @given(labeled_trees())
     @settings(max_examples=100, deadline=None)
     def test_two_coloring_is_distance_parity_from_1(self, t):
-        assert t.two_coloring() == [-1] + [t.distance(1, v) % 2 for v in range(1, t.n + 1)]
+        assert t.two_coloring() == [-1] + [distance(t, 1, v) % 2 for v in range(1, t.n + 1)]
 
 
 class TestSerialization:
     def test_edge_list_round_trip(self):
-        t = from_edges(11, FIG_1A_EDGES)
+        t = LabeledTree(11, FIG_1A_EDGES)
         assert parse_edge_list(t.to_edge_list()) == t
 
     def test_edge_list_format(self):
@@ -392,6 +396,6 @@ class TestSerialization:
         assert star(4).to_dot() == "graph {\n  v1 -- v4;\n  v2 -- v4;\n  v3 -- v4;\n}\n"
 
     def test_nullity_bounds_interplay(self):
-        t = from_edges(11, FIG_1A_EDGES)
+        t = LabeledTree(11, FIG_1A_EDGES)
         b = bounds(t.degree_multiset())
         assert b.nullity_min <= t.nullity() <= b.nullity_max
