@@ -13,7 +13,7 @@ This script walks through increasingly interesting sequences and prints the
 derived extremal matching numbers, nullities and independence numbers.
 """
 
-from treenullity import bounds, min_max_equal, parse_sequence, stats
+from treenullity import bounds, parse_sequence, stats
 
 
 def show(text: str) -> None:
@@ -42,7 +42,7 @@ show("1,1,1,1,1,1,1,1,8")
 # a = 3 = ceil(5/2), yet a != l and a != floor(5/2)).
 show("1,1,2,2,2")
 s = parse_sequence("1,1,2,2,2")
-print(f"equal extremes for {s}? {min_max_equal(s)} (a = 3 = ceil(n/2))")
+print(f"equal extremes for {s}? {bounds(s).extremal_equal} (a = 3 = ceil(n/2))")
 print()
 
 # Leaf-rich: six leaves out of eleven vertices; the window opens up.

@@ -18,7 +18,6 @@ ceil(n/2) one.
 from treenullity import (
     bounds,
     literal_characterization,
-    min_max_equal,
     spectrum,
     tree_degree_sequences,
 )
@@ -38,9 +37,9 @@ for n in range(3, 9):
         print(
             f"{str(s):<22} {sp.total:>6}  {{{hist}}}".ljust(58)
             + f"[{b.nullity_min}, {b.nullity_max}]".ljust(15)
-            + f"{min_max_equal(s)}{marker}"
+            + f"{b.extremal_equal}{marker}"
         )
-        if literal_characterization(s) != min_max_equal(s):
+        if literal_characterization(s) != b.extremal_equal:
             disagreements.append(s)
 
 print()

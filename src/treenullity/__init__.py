@@ -15,7 +15,6 @@ from .degseq import (
     SequenceStats,
     bounds,
     literal_characterization,
-    min_max_equal,
     parse_sequence,
     stats,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "enumerate_trees",
     "internal_leaf_adjacency_violations",
     "literal_characterization",
-    "min_max_equal",
     "parse_edge_list",
     "parse_sequence",
     "prufer_decode",

@@ -158,20 +158,10 @@ def bounds(s: DegreeSequence) -> BoundsReport:
     return report
 
 
-def min_max_equal(s: DegreeSequence) -> bool:
-    """True when every tree realizing ``s`` has the same nullity.
-
-    For n > 2 this is equivalent to a = max(l, ceil(n/2)); n = 2 has a unique
-    realization and returns True.
-    """
-    b = bounds(s)
-    return b.nu_min == b.nu_max
-
-
 def literal_characterization(s: DegreeSequence) -> bool:
     """The unamended equal-extremes condition: a = l or a = floor(n/2).
 
-    Kept alongside :func:`min_max_equal` so the places where the two
+    Kept alongside ``BoundsReport.extremal_equal`` so the places where the two
     conditions disagree (odd-n path-like sequences such as (1,1,2,2,2)) can
     be surfaced explicitly.
     """

@@ -32,6 +32,8 @@ on-path exceptions for inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 
 from .degseq import DegreeSequence, bounds, stats
 from .errors import ConstructionInvariantViolated, InputError
@@ -107,6 +109,14 @@ def _require(condition: bool, message: str) -> None:
         raise ConstructionInvariantViolated(message)
 
 
+def _self_check(tree: LabeledTree, m: Matching, nu: int, what: str) -> None:
+    """A builder's witness ``m`` is a matching of ``tree`` with ``nu`` edges,
+    and the cover of :func:`_cover_nu` proves that none is larger."""
+    _require(m.is_valid_in(tree), f"{what} is not a matching")
+    _require(m.size == nu, f"{what} has {m.size} edges, the formula {nu}")
+    _require(_cover_nu(tree) == (nu, True), f"{what} is no maximum matching")
+
+
 def _finish_tree(n: int, edges: list[Edge], s: DegreeSequence, what: str) -> LabeledTree:
     """Validate the raw edge list and its degree multiset."""
     try:
@@ -136,8 +146,9 @@ def build_min(s: DegreeSequence) -> MinCertificate:
     forms a path joined to the rest at v_1.
 
     The witness matching pairs v_i with v_{n-i+1} and adds a maximum
-    matching of the path block; its size min(n - l, floor(n/2)) is verified
-    against an independently computed maximum matching before returning.
+    matching of the path block; before returning, its size min(n - l,
+    floor(n/2)) is checked against a vertex cover of the tree of that size,
+    which no matching exceeds.
     """
     n = s.n
     if n == 2:
@@ -185,16 +196,7 @@ def build_min(s: DegreeSequence) -> MinCertificate:
         branch = BRANCH_FEW_LEAVES
 
     tree = _finish_tree(n, edges, s, "build_min")
-    expected_nu = bounds(s).nu_max
-    _require(matching.is_valid_in(tree), "build_min: witness is not a matching")
-    _require(
-        matching.size == expected_nu,
-        f"build_min: witness size {matching.size} != {expected_nu}",
-    )
-    _require(
-        tree.maximum_matching().size == expected_nu,
-        "build_min: tree does not reach the extremal matching number",
-    )
+    _self_check(tree, matching, bounds(s).nu_max, "build_min: witness")
     return MinCertificate(
         tree=tree,
         branch=branch,
@@ -301,13 +303,7 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
             m_s_edges.append((u, v_mk))
         m_s = Matching(tuple(m_s_edges))
 
-    expected_nu = n - a
-    _require(m_s.is_valid_in(tree), "build_max: M_s is not a matching")
-    _require(m_s.size == expected_nu, f"build_max: |M_s| = {m_s.size} != n - a = {expected_nu}")
-    _require(
-        tree.maximum_matching().size == expected_nu,
-        "build_max: tree does not reach the extremal matching number",
-    )
+    _self_check(tree, m_s, n - a, "build_max: M_s")
     return MaxCertificate(
         tree=tree,
         v_k=tuple(connectors),
@@ -385,23 +381,25 @@ def internal_leaf_adjacency_violations(
 
 
 def _revalidated(tree) -> tuple[LabeledTree | None, str]:
-    """The tree the checks read, rebuilt from ``tree.n`` and ``tree.edges``.
-
-    The rebuild is the one check that catches a duck-typed or rewritten
-    tree: any object goes in, and ``(None, reason)`` comes out when it does
-    not rebuild.  It keeps the canonical pairs of ``tree.edges`` themselves,
-    so it allocates no pair.  A ``LabeledTree`` whose edges and derived
-    slots (the adjacency lists ``_adj``, the BFS ``_order`` and ``_parent``)
-    equal its rebuild's is returned itself, so the matching its builder
-    memoised is reused: that memo is the one slot trusted without a check.
-    """
+    """The tree the checks read, rebuilt from ``tree.n`` and ``tree.edges``
+    alone, or ``(None, reason)`` when it does not rebuild.  Any object goes
+    in, so a duck-typed or rewritten tree is judged by its edges.  The
+    rebuild keeps the canonical pairs of ``tree.edges``: it allocates no pair."""
     try:
-        rebuilt = LabeledTree(tree.n, tree.edges)
+        return LabeledTree(tree.n, tree.edges), ""
     except (AttributeError, InputError) as exc:
         return None, type(exc).__name__
-    derived = ("_adj", "_order", "_parent")
-    same = rebuilt == tree and all(getattr(tree, f, None) == getattr(rebuilt, f) for f in derived)
-    return (tree if same else rebuilt), ""
+
+
+def _cover_nu(tree: LabeledTree) -> tuple[int, bool]:
+    """|C| for the marks C of the matching walk on ``tree``, and whether C
+    covers every edge.  Each edge of a matching needs its own vertex of a
+    cover, so a covering C proves a matching of size |C| maximum (König
+    1931, Egerváry 1931), whatever walk made C; so every nonzero mark counts."""
+    cover, parent, n = tree._cover(), tree._parent, tree.n
+    # The edges are (v, parent[v]) for v < n; C misses one when both ends are unmarked.
+    unmarked_parents = compress(parent[1:n], map(not_, cover[1:n]))
+    return len(cover) - cover.count(0), all(map(cover.__getitem__, unmarked_parents))
 
 
 def _bad_fields(cert: MinCertificate | MaxCertificate, n: int) -> list[str]:
@@ -449,7 +447,8 @@ def _common_checks(
 ) -> list[CheckResult]:
     """The checks both kinds share.  ``matching-<name>-valid`` passes when
     the matching is one of the tree and plays its role, where ``roles``
-    gives the verdict on that role."""
+    gives the verdict on that role.  nu is |C| of :func:`_cover_nu`, and
+    the checks that read it pass only when C covers."""
     checks: list[CheckResult] = []
     degrees = tuple(sorted(map(len, tree._adj[1:])))
     same = degrees == s.degrees
@@ -459,30 +458,20 @@ def _common_checks(
     for name, m in matchings.items():
         valid = m.is_valid_in(tree) and roles.get(name, True)
         checks.append(CheckResult(f"matching-{name}-valid", valid, f"{m.size} edges"))
-    nu = tree.maximum_matching().size
+    nu, covers = _cover_nu(tree)
+    size, n = matchings[primary].size, tree.n
+    detail = f"|{primary}| = {size}, nu = {nu}, formula = {expected_nu}"
     checks.append(
-        CheckResult(
-            f"matching-{primary}-maximum",
-            matchings[primary].size == nu == expected_nu,
-            f"|{primary}| = {matchings[primary].size}, nu = {nu}, formula = {expected_nu}",
-        )
+        CheckResult(f"matching-{primary}-maximum", covers and size == nu == expected_nu, detail)
     )
-    checks.append(
-        CheckResult(
-            "nullity-formula",
-            tree.n - 2 * nu == tree.n - 2 * expected_nu,
-            f"nullity {tree.n - 2 * nu} vs {tree.n - 2 * expected_nu}",
-        )
-    )
-    if tree.n <= rank_limit:
+    detail = f"nullity {n - 2 * nu} vs {n - 2 * expected_nu}"
+    checks.append(CheckResult("nullity-formula", covers and nu == expected_nu, detail))
+    if n <= rank_limit:
         rank = tree.adjacency_rank_exact(limit=rank_limit)
-        checks.append(
-            CheckResult("rank-cross-check", rank == 2 * nu, f"rank {rank} vs 2 nu = {2 * nu}")
-        )
+        rank_ok, detail = covers and rank == 2 * nu, f"rank {rank} vs 2 nu = {2 * nu}"
     else:
-        checks.append(
-            CheckResult("rank-cross-check", True, f"skipped (n = {tree.n} > limit {rank_limit})")
-        )
+        rank_ok, detail = True, f"skipped (n = {n} > limit {rank_limit})"
+    checks.append(CheckResult("rank-cross-check", rank_ok, detail))
     return checks
 
 

@@ -48,7 +48,7 @@ def _code_nu(code: Sequence[int], deg: Sequence[int]) -> tuple[int, list[int]]:
     leaf, ``leaves[k]``, is joined to ``code[k]``, and the final leaf to n.
     :func:`prufer_encode` makes the same walk on a tree.  Along it each
     removed leaf is matched to its parent when both are free: the rule of
-    :meth:`LabeledTree.maximum_matching`, applied in the decode order.
+    :meth:`LabeledTree._cover`, applied in the decode order.
     Leaves go children-first, so a leaf still free then hangs by a pendant
     edge, which some maximum matching contains, and the count is exact.
     """
@@ -320,7 +320,7 @@ def _matching_counts(s: DegreeSequence, total: int) -> dict[int, int]:
     need no axis.  ``forests[m][i]`` counts sets of m planted trees: ordered
     m-tuples, labels split by binomials, divided by m.
 
-    Matching is the one rule of :meth:`LabeledTree.maximum_matching` and
+    Matching is the one rule of :meth:`LabeledTree._cover` and
     :func:`_code_nu`, children first, a vertex to its parent when both are
     free, applied by counting: a root is matched iff some child root is
     free.  It is exact under any rooting, since a free child hangs by a
@@ -376,15 +376,18 @@ def _matching_counts(s: DegreeSequence, total: int) -> dict[int, int]:
 
 def spectrum(s: DegreeSequence, cap: int = DEFAULT_ENUMERATION_CAP) -> NullitySpectrum:
     """Exact nullity / matching-number histograms for ``s``, counted by
-    :func:`_matching_counts` and checked against Moon's total.
+    :func:`_matching_counts` and checked against Moon's total and against
+    the closed formulas, whose interval [nu_min, nu_max] is the support.
 
     Classes over ``cap`` trees still raise :class:`EnumerationCapExceeded`.
     """
     total = _capped_total(s, cap)
     by_matching = _matching_counts(s, total)
-    if sum(by_matching.values()) != total:
+    b, counted, support = bounds(s), sum(by_matching.values()), sorted(by_matching)
+    if counted != total or support != list(range(b.nu_min, b.nu_max + 1)):
         raise ConstructionInvariantViolated(
-            f"spectrum counts {sum(by_matching.values())} trees, Moon's formula {total}"
+            f"spectrum counts {counted} trees over nu {support}, Moon's formula {total} "
+            f"over nu {b.nu_min}..{b.nu_max}"
         )
     by_nullity = {s.n - 2 * nu: c for nu, c in by_matching.items()}
     return NullitySpectrum(

@@ -10,7 +10,9 @@ from one rule, children first along the BFS from n kept at construction:
 match a vertex to its parent when both are free.  A vertex still free when
 it is reached has only its parent edge left, and a pendant edge lies in
 some maximum matching; the rule is exact on trees with no blossom
-machinery.
+machinery.  The walk marks only the parent end of each matched edge, and
+the marks are a vertex cover as large as the matching, which no matching
+exceeds (König 1931, Egerváry 1931): a proof of nu that trusts no walk.
 
 One BFS from n at construction proves connectivity and keeps its order and
 parents for the matching and the 2-coloring.  n - 1 edges that
@@ -111,13 +113,12 @@ class Matching:
 class LabeledTree:
     """Immutable labeled tree on vertices 1..n stored as an edge set."""
 
-    __slots__ = ("n", "edges", "_adj", "_order", "_parent", "_matching")
+    __slots__ = ("n", "edges", "_adj", "_order", "_parent")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if not isinstance(n, int):
             raise LabelOutOfRange(f"vertex count must be an int, got {n!r}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_matching", None)
         adj: list[list[int]] = [[] for _ in range(n + 1)]
         # This is _is_label at almost no cost per edge: a label that is no int
         # fails in the sort or as a list index, and an edge that is no pair
@@ -193,35 +194,44 @@ class LabeledTree:
     def degree_multiset(self) -> DegreeSequence:
         return DegreeSequence(tuple(len(self._adj[v]) for v in range(1, self.n + 1)))
 
+    def _cover(self) -> bytearray:
+        """The walk of the one matching rule, children first along the kept
+        BFS from n, marking only the parent end of each edge it matches.
+
+        At v's turn v is taken exactly when a child took it, which marked
+        it, and its parent exactly when another child did, so the marks are
+        the walk's whole state.  They cover every edge (v, p): v is marked,
+        or p was, or p is marked now; so they are a cover C with |C| = nu.
+        """
+        parent, cover = self._parent, bytearray(self.n + 1)
+        for v in self._order[:0:-1]:  # all but the root n, children first
+            p = parent[v]
+            if not (cover[v] or cover[p]):
+                cover[p] = 1
+        return cover
+
     def maximum_matching(self) -> Matching:
-        """Maximum matching: children first along the kept BFS from n, each
-        vertex is matched to its parent when both are free.
+        """The matching of :meth:`_cover`'s walk: each marked vertex with
+        its first unmarked child in walk order.
 
         Exact on trees: reversed BFS order reaches a vertex after all of its
         descendants, so if it is still free its parent edge is pendant in
         what is left, and some maximum matching of that forest contains a
-        given pendant edge.  The tree is immutable, so the result is
-        memoised on it.
+        given pendant edge.
         """
-        if self._matching is None:
-            parent, covered = self._parent, bytearray(self.n + 1)
-            matched: list[Edge] = []
-            for v in self._order[:0:-1]:  # all but the root n, children first
-                p = parent[v]
-                if not (covered[v] or covered[p]):
-                    covered[v] = covered[p] = 1
-                    matched.append((v, p) if v < p else (p, v))
-            object.__setattr__(self, "_matching", Matching(tuple(matched)))
-        return self._matching
+        parent, cover = self._parent, self._cover()
+        # BFS order is the walk reversed: p keeps its first unmarked child in walk order.
+        mate = {parent[v]: v for v in self._order[1:] if cover[parent[v]] and not cover[v]}
+        return Matching(tuple(mate.items()))
 
     def nullity(self) -> int:
         """Multiplicity of the zero eigenvalue: n - 2 * nu for trees."""
-        return self.n - 2 * self.maximum_matching().size
+        return self.n - 2 * self._cover().count(1)
 
     def independence_number(self) -> int:
         """n - nu: minimum vertex cover equals nu in bipartite graphs, and
         the independent sets are exactly the cover complements."""
-        return self.n - self.maximum_matching().size
+        return self.n - self._cover().count(1)
 
     def adjacency_rank_exact(self, limit: int = DEFAULT_RANK_LIMIT) -> int:
         """Exact rank of the 0/1 adjacency matrix, by elimination over GF(2).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -23,6 +24,16 @@ def prufer_codes(draw, min_n: int = 2, max_n: int = 12):
     n = draw(st.integers(min_n, max_n))
     code = draw(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
     return tuple(code), n
+
+
+def every_labeled_tree(max_n: int) -> list[LabeledTree]:
+    """Every labeled tree with n <= ``max_n``: the one-vertex tree, then one
+    tree per Prüfer code (18,249 trees for ``max_n`` = 7)."""
+    return [LabeledTree(1, [])] + [
+        prufer_decode(code, n)
+        for n in range(2, max_n + 1)
+        for code in itertools.product(range(1, n + 1), repeat=n - 2)
+    ]
 
 
 @st.composite

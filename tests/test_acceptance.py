@@ -32,7 +32,6 @@ from treenullity import (
     enumerate_trees,
     internal_leaf_adjacency_violations,
     literal_characterization,
-    min_max_equal,
     parse_sequence,
     prufer_decode,
     prufer_encode,
@@ -290,9 +289,10 @@ def test_c6_characterization(sweep):
         single = len(sp.by_nullity) == 1
         st = stats(s)
         amended = st.a == max(st.l, (s.n + 1) // 2)
-        if single != amended or amended != min_max_equal(s):
+        equal = bounds(s).extremal_equal
+        if single != amended or amended != equal:
             mismatches.append(s)
-        if literal_characterization(s) != min_max_equal(s):
+        if literal_characterization(s) != equal:
             disagreements.append(s)
     assert mismatches == []
     for s in disagreements:

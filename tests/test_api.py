@@ -29,6 +29,15 @@ print(" ".join(sorted(tracer.calls)))
 """
 
 
+def test_bench_self_check_passes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "check.py")],
+        capture_output=True, text=True, timeout=60, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "self-test: ok"
+
+
 def test_every_exported_name_resolves():
     assert [name for name in treenullity.__all__ if not hasattr(treenullity, name)] == []
 
@@ -45,5 +54,4 @@ def test_traced_certification_runs():
         "extremal.build_max",
         "extremal.verify_certificate",
         "treegraph.LabeledTree",
-        "treegraph.maximum_matching",
     } <= spans, proc.stdout

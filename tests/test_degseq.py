@@ -15,7 +15,6 @@ from treenullity import (
     TooSmall,
     bounds,
     literal_characterization,
-    min_max_equal,
     parse_sequence,
     stats,
 )
@@ -149,22 +148,22 @@ class TestBounds:
 class TestMinMaxEqual:
     def test_equal_when_a_hits_leaf_count(self):
         # n = 6, a = l = 4: both extremal formulas give nullity 2.
-        assert min_max_equal(DegreeSequence((1, 1, 1, 1, 2, 4)))
+        assert bounds(DegreeSequence((1, 1, 1, 1, 2, 4))).extremal_equal
 
     def test_odd_path_is_the_amended_case(self):
         s = parse_sequence("1,1,2,2,2")
-        assert min_max_equal(s)
+        assert bounds(s).extremal_equal
         # The unamended floor(n/2) reading disagrees on odd paths.
         assert not literal_characterization(s)
 
     def test_unequal(self):
-        assert not min_max_equal(parse_sequence("1,1,1,1,2,2,2,2,2,3,3"))
+        assert not bounds(parse_sequence("1,1,1,1,2,2,2,2,2,3,3")).extremal_equal
 
     @given(degree_sequences())
     @settings(max_examples=200, deadline=None)
     def test_consistent_with_bounds(self, s):
         b = bounds(s)
-        assert min_max_equal(s) == (b.nu_min == b.nu_max)
+        assert b.extremal_equal == (b.nu_min == b.nu_max)
         if s.n > 2:
             st = stats(s)
-            assert min_max_equal(s) == (st.a == max(st.l, (s.n + 1) // 2))
+            assert b.extremal_equal == (st.a == max(st.l, (s.n + 1) // 2))

@@ -1,7 +1,6 @@
 """Extremal tree constructions and their certificates."""
 
 import dataclasses
-import itertools
 import random
 import time
 import types
@@ -10,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import degree_sequences, degrees, distance, labeled_trees, neighbours
+from conftest import (
+    degree_sequences,
+    degrees,
+    distance,
+    every_labeled_tree,
+    labeled_trees,
+    neighbours,
+)
 from treenullity import (
     ConstructionInvariantViolated,
     DegreeSequence,
@@ -20,8 +26,8 @@ from treenullity import (
     build_min,
     internal_leaf_adjacency_violations,
     parse_sequence,
-    prufer_decode,
     random_degree_sequence,
+    random_tree,
     stats,
     tree_degree_sequences,
     verify_certificate,
@@ -299,16 +305,13 @@ class TestVerify:
         assert elapsed < 5.0
 
     def test_cached_matching_gives_the_same_report(self):
-        # The builders leave nu memoised on their trees (build_min's n = 2
-        # shortcut computes none); a rebuilt tree has none, so verify computes
-        # it afresh and must say the same.
+        # Verify reads only its own rebuild, so a built tree and a fresh
+        # tree on the same edges give the same report.
         sequences = [s for n in range(2, 13) for s in tree_degree_sequences(n)]
         sequences += [random_degree_sequence(2 + seed % 199, seed) for seed in range(200)]
         for s in sequences:
             for cert in (build_min(s), build_max(s)):
                 rebuilt = dataclasses.replace(cert, tree=LabeledTree(cert.tree.n, cert.tree.edges))
-                assert (cert.tree._matching is not None or s.n == 2)
-                assert rebuilt.tree._matching is None
                 report = verify_certificate(cert, s).to_json_dict()
                 assert report == verify_certificate(rebuilt, s).to_json_dict()
                 assert report["ok"]
@@ -365,11 +368,7 @@ class TestInternalLeafAdjacency:
         # Every labeled tree with n <= 7, with V_K empty, each single vertex
         # and three seeded subsets.
         rng = random.Random(17)
-        trees = [LabeledTree(1, [])] + [
-            prufer_decode(code, n)
-            for n in range(2, 8)
-            for code in itertools.product(range(1, n + 1), repeat=n - 2)
-        ]
+        trees = every_labeled_tree(7)
         assert len(trees) == 1 + sum(n ** (n - 2) for n in range(2, 8))
         for tree in trees:
             labels = range(1, tree.n + 1)
@@ -536,6 +535,36 @@ class TestCertificateBoundary:
         assert {c.name for c in report.failures()} == {
             "matching-m_s-valid", "matching-m_s-maximum", "m_s-size-formula"
         }
+
+    @staticmethod
+    def _lying_oracle():
+        """A tree of OMEGA_3 with nu = 5 > nu_min = 4, put in the built max
+        certificate with its maximum matching cut to n - a = 4 edges."""
+        tree = random_tree(OMEGA_3, 0)
+        m_s = Matching(tree.maximum_matching().edges[:4])
+        assert tree.maximum_matching().size == 5 > bounds(OMEGA_3).nu_min == 4
+        return dataclasses.replace(build_max(OMEGA_3), tree=tree, m_s=m_s), tree, m_s
+
+    def test_lying_matching_walk_proves_nothing(self, monkeypatch):
+        # Verify proves nu by a cover of its own rebuild, so a matching walk
+        # that calls the cut matching maximum is never asked.
+        cert, _, m_s = self._lying_oracle()
+        monkeypatch.setattr(LabeledTree, "maximum_matching", lambda self: m_s)
+        report = verify_certificate(cert, OMEGA_3)
+        assert {"matching-m_s-maximum", "nullity-formula"} <= {c.name for c in report.failures()}
+        assert _check(report, "matching-m_s-maximum").detail == "|m_s| = 4, nu = 5, formula = 4"
+
+    def test_lying_cover_walk_proves_nothing(self, monkeypatch):
+        # n - a marks that miss an edge bound no matching, so a walk that
+        # marks them fails the proof however well their count fits.
+        cert, tree, _ = self._lying_oracle()
+        marks = tree._cover()
+        marks[marks.index(1)] = 0  # nu = 5, so 4 marks are no cover
+        monkeypatch.setattr(LabeledTree, "_cover", lambda self: bytearray(marks))
+        report = verify_certificate(cert, OMEGA_3)
+        assert {"matching-m_s-maximum", "nullity-formula"} <= {c.name for c in report.failures()}
+        assert _check(report, "matching-m_s-maximum").detail == "|m_s| = 4, nu = 4, formula = 4"
+        assert _check(report, "nullity-formula").detail == "nullity 5 vs 5"
 
     @pytest.mark.parametrize("kind", ["min", "max"])
     def test_duck_typed_tree_verifies(self, kind):

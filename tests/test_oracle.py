@@ -216,6 +216,15 @@ class TestSpectrum:
         with pytest.raises(ConstructionInvariantViolated):
             spectrum(s)
 
+    def test_support_off_the_interval_is_an_invariant_violation(self, monkeypatch):
+        # The total stays Moon's, but one tree moves from nu = 2 to nu = 1,
+        # outside [nu_min, nu_max] = [2, 3].
+        s = parse_sequence("1,1,1,2,2,3")
+        assert oracle._matching_counts(s, 12) == {2: 6, 3: 6}
+        monkeypatch.setattr(oracle, "_matching_counts", lambda s, total: {1: 1, 2: 5, 3: 6})
+        with pytest.raises(ConstructionInvariantViolated, match=r"nu \[1, 2, 3\]"):
+            spectrum(s)
+
 
 class TestCountingDP:
     """``_matching_counts`` against enumeration and Moon's count."""
@@ -238,6 +247,17 @@ class TestCountingDP:
             assert all(c > 0 for c in sp.by_matching.values())
             b = bounds(s)
             assert min(sp.by_matching) == b.nu_min and max(sp.by_matching) == b.nu_max
+
+    def test_support_is_the_formula_interval_up_to_20(self):
+        # The closed formulas share no code with the DP.
+        checked = 0
+        for n in range(2, 21):
+            for s in tree_degree_sequences(n):
+                b = bounds(s)
+                support = sorted(_matching_counts(s, count_trees(s)))
+                assert support == list(range(b.nu_min, b.nu_max + 1)), s
+                checked += 1
+        assert checked == 1597
 
     @given(degree_sequences(max_n=9))
     @settings(max_examples=25, deadline=None)

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import randoms
 
-from conftest import degrees, distance, fraction_rank, labeled_trees, neighbours
+from conftest import (
+    degrees,
+    distance,
+    every_labeled_tree,
+    fraction_rank,
+    labeled_trees,
+    neighbours,
+)
 from treenullity import (
     LabelOutOfRange,
     LabeledTree,
@@ -22,6 +29,8 @@ from treenullity import (
     parse_edge_list,
     prufer_decode,
     prufer_encode,
+    random_degree_sequence,
+    random_tree,
     stats,
 )
 from treenullity.treegraph import Matching, _is_label
@@ -200,8 +209,7 @@ class TestMatching:
     def test_memoised_on_the_tree(self):
         t = prufer_decode((3, 3, 5, 5), 6)
         fresh = prufer_decode((3, 3, 5, 5), 6)
-        assert t.maximum_matching() is t.maximum_matching()
-        # Equality and hashing see only n and the edges, not the cached matching.
+        # Equality and hashing see only n and the edges.
         assert t == fresh and hash(t) == hash(fresh)
         assert fresh.maximum_matching() == t.maximum_matching()
 
@@ -302,6 +310,32 @@ class TestNullityIndependence:
         assert t.independence_number() + nu == t.n
         assert t.nullity() == t.n - 2 * nu >= 0
         assert t.nullity() % 2 == t.n % 2
+
+
+class TestCover:
+    """The matching walk's marks are a König cover: they cover every edge,
+    number nu, and are the parent ends of the walk's matching."""
+
+    @staticmethod
+    def _assert_cover(t):
+        cover, m = t._cover(), t.maximum_matching()
+        marks = {v for v in range(1, t.n + 1) if cover[v]}
+        assert len(cover) == t.n + 1 and cover.count(0) + len(marks) == t.n + 1, t
+        assert all(u in marks or v in marks for u, v in t.edges), t
+        assert len(marks) == m.size and m.is_valid_in(t), t
+        parent = t._parent
+        assert marks == {u if parent[v] == u else v for u, v in m.edges}, t
+
+    def test_every_labeled_tree_up_to_7(self):
+        trees = every_labeled_tree(7)
+        assert len(trees) == 18_249
+        for t in trees:
+            self._assert_cover(t)
+
+    @pytest.mark.parametrize("n", [10, 99, 500, 2000])
+    def test_random_trees(self, n):
+        for seed in range(3):
+            self._assert_cover(random_tree(random_degree_sequence(n, seed), seed))
 
 
 class TestRank:
