@@ -13,15 +13,14 @@ This script walks through increasingly interesting sequences and prints the
 derived extremal matching numbers, nullities and independence numbers.
 """
 
-from treenullity import bounds, parse_sequence, stats
+from treenullity import bounds, parse_sequence
 
 
 def show(text: str) -> None:
     s = parse_sequence(text)
-    st = stats(s)
     b = bounds(s)
     print(f"sequence {s}  (n={s.n})")
-    print(f"  l={st.l} leaves, m={st.m} edges, annihilation number a={st.a}")
+    print(f"  l={b.l} leaves, m={b.m} edges, annihilation number a={b.a}")
     print(f"  matching number ranges over [{b.nu_min}, {b.nu_max}]")
     print(f"  nullity ranges over [{b.nullity_min}, {b.nullity_max}]")
     print(f"  independence number ranges over [{b.alpha_min}, {b.alpha_max}]")

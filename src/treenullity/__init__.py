@@ -12,11 +12,9 @@ All arithmetic is exact; no floating point is used anywhere.
 from .degseq import (
     BoundsReport,
     DegreeSequence,
-    SequenceStats,
     bounds,
     literal_characterization,
     parse_sequence,
-    stats,
 )
 from .errors import (
     ConstructionInvariantViolated,
@@ -89,7 +87,6 @@ __all__ = [
     "NullitySpectrum",
     "ParseError",
     "PrueferCode",
-    "SequenceStats",
     "SizeLimitExceeded",
     "TooSmall",
     "TreeNullityError",
@@ -110,7 +107,6 @@ __all__ = [
     "random_degree_sequence",
     "random_tree",
     "spectrum",
-    "stats",
     "tree_degree_sequences",
     "verify_certificate",
 ]

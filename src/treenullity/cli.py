@@ -17,11 +17,10 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from typing import Iterable
 
 from . import oracle
-from .degseq import DegreeSequence, bounds, parse_sequence, stats
+from .degseq import DegreeSequence, bounds, parse_sequence
 from .errors import (
     ConstructionInvariantViolated,
     InputError,
@@ -143,7 +142,8 @@ def _table(rows: Iterable[tuple[str, object]]) -> str:
 
 
 def _run_validate(s: DegreeSequence, args) -> tuple[dict, str | None]:
-    payload = {"valid": True, "n": s.n, "degrees": list(s.degrees), **asdict(stats(s))}
+    b = bounds(s)
+    payload = {"valid": True, "n": s.n, "degrees": list(s.degrees), "l": b.l, "m": b.m, "a": b.a}
     if args.format == "table":
         return payload, _table(payload.items())
     return payload, None

@@ -56,15 +56,6 @@ class DegreeSequence:
 
 
 @dataclass(frozen=True)
-class SequenceStats:
-    """Leaf count, edge count and annihilation number of a sequence."""
-
-    l: int
-    m: int
-    a: int
-
-
-@dataclass(frozen=True)
 class BoundsReport:
     """Extremal values over all labeled trees realizing one sequence.
 
@@ -114,25 +105,18 @@ def parse_sequence(text: str) -> DegreeSequence:
     return DegreeSequence(tuple(degrees))
 
 
-def stats(s: DegreeSequence) -> SequenceStats:
-    """Leaf count l, edge count m = n - 1, and annihilation number a.
+def bounds(s: DegreeSequence) -> BoundsReport:
+    """Leaf count l, edge count m = n - 1, annihilation number a, and the
+    extremal matching number, nullity and independence number of ``s``.
 
     a is the largest index (1-based) such that the sum of the a smallest
-    degrees is at most m.
-    """
-    m = s.n - 1  # the degrees are sorted and positive, so the prefix sums increase
-    return SequenceStats(l=s.degrees.count(1), m=m, a=bisect_right(list(accumulate(s.degrees)), m))
-
-
-def bounds(s: DegreeSequence) -> BoundsReport:
-    """Extremal matching number, nullity and independence number of ``s``.
-
-    n = 2 is the one degenerate case: the single edge has nu = 1 and nullity
-    0, which the leaf-count branch formula would miss.
+    degrees is at most m.  n = 2 is the one degenerate case: the single edge
+    has nu = 1 and nullity 0, which the leaf-count branch formula would miss.
     """
     n = s.n
-    st = stats(s)
-    l, m, a = st.l, st.m, st.a
+    l, m = s.degrees.count(1), n - 1
+    # The degrees are sorted and positive, so the prefix sums increase.
+    a = bisect_right(list(accumulate(s.degrees)), m)
 
     if n == 2:
         nu_max = 1
@@ -142,7 +126,7 @@ def bounds(s: DegreeSequence) -> BoundsReport:
         nu_max = n // 2
 
     nu_min = n - a
-    report = BoundsReport(
+    return BoundsReport(
         n=n,
         l=l,
         m=m,
@@ -155,7 +139,6 @@ def bounds(s: DegreeSequence) -> BoundsReport:
         alpha_max=a,
         extremal_equal=(nu_min == nu_max),
     )
-    return report
 
 
 def literal_characterization(s: DegreeSequence) -> bool:
@@ -165,5 +148,5 @@ def literal_characterization(s: DegreeSequence) -> bool:
     conditions disagree (odd-n path-like sequences such as (1,1,2,2,2)) can
     be surfaced explicitly.
     """
-    st = stats(s)
-    return st.a == st.l or st.a == s.n // 2
+    b = bounds(s)
+    return b.a == b.l or b.a == s.n // 2

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import not_
 
-from .degseq import DegreeSequence, bounds, stats
+from .degseq import DegreeSequence, bounds
 from .errors import ConstructionInvariantViolated, InputError
 from .treegraph import (
     DEFAULT_RANK_LIMIT,
@@ -146,23 +146,14 @@ def build_min(s: DegreeSequence) -> MinCertificate:
     forms a path joined to the rest at v_1.
 
     The witness matching pairs v_i with v_{n-i+1} and adds a maximum
-    matching of the path block; before returning, its size min(n - l,
-    floor(n/2)) is checked against a vertex cover of the tree of that size,
-    which no matching exceeds.
+    matching of the path block; before returning, its size nu_max of
+    :func:`~treenullity.degseq.bounds` is checked against a vertex cover of
+    the tree of that size, which no matching exceeds.
     """
     n = s.n
-    if n == 2:
-        tree = LabeledTree(2, [(1, 2)])
-        return MinCertificate(
-            tree=tree,
-            branch=BRANCH_MANY_LEAVES,
-            matching=Matching(((1, 2),)),
-            path_block=(),
-        )
-
     d = (0,) + s.degrees  # 1-based degree access
-    st = stats(s)
-    l = st.l
+    b = bounds(s)
+    l = b.l
 
     k = n - (d[n] - 1)
     edges: list[Edge] = [(1, n)]
@@ -178,7 +169,7 @@ def build_min(s: DegreeSequence) -> MinCertificate:
         k -= d[v] - 2
 
     if leafy:
-        matching = Matching(tuple((i, n - i + 1) for i in range(1, n - l + 1)))
+        matching = Matching(tuple((i, n - i + 1) for i in range(1, b.nu_max + 1)))
         block: tuple[int, ...] = ()
         branch = BRANCH_MANY_LEAVES
     else:
@@ -196,7 +187,7 @@ def build_min(s: DegreeSequence) -> MinCertificate:
         branch = BRANCH_FEW_LEAVES
 
     tree = _finish_tree(n, edges, s, "build_min")
-    _self_check(tree, matching, bounds(s).nu_max, "build_min: witness")
+    _self_check(tree, matching, b.nu_max, "build_min: witness")
     return MinCertificate(
         tree=tree,
         branch=branch,
@@ -222,8 +213,8 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
     """
     n = s.n
     d = (0,) + s.degrees
-    st = stats(s)
-    l, a = st.l, st.a
+    b = bounds(s)
+    l, a = b.l, b.a
 
     dn = d[n]
     edges: list[Edge] = [(j, n) for j in range(1, dn + 1)]
@@ -233,12 +224,11 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
     h = n
     bottom = l + 1  # next (smallest) unused internal degree, for connectors
     top = n - 1  # next (largest) unused internal degree, for the frontier
-    connectors: list[int] = []
-    middles: list[int] = []
+    path: list[int] = []  # P_K in walk order: connector, middle, ..., connector
 
     while placed < n:
         c = k
-        connectors.append(c)
+        path.append(c)
         dc = d[bottom]
         bottom += 1
         frontier = [h - 1 - x for x in range(dc - 1)]
@@ -246,7 +236,6 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
         placed += dc - 1
         if placed == n:
             break
-        last_processed = frontier[0]
         for vj in frontier:  # decreasing index: first takes the largest degree
             dj = d[top]
             top -= 1
@@ -254,39 +243,30 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
             edges.extend((vj, ch) if vj < ch else (ch, vj) for ch in children)
             placed += dj - 1
             k += dj - 1
-            last_processed = vj
             if placed == n:
                 break
-        if placed == n:
-            break
-        middles.append(last_processed)
+        else:  # vertices remain, so vj is the middle to the next connector
+            path.append(vj)
         h -= dc - 1
 
-    omega = len(connectors)
+    v_k, p_k = tuple(path[::2]), tuple(path)
+    omega = len(v_k)
     tree = _finish_tree(n, edges, s, "build_max")
 
     if omega == 0:
         v_mk: int | None = None
         l_mk = 0
-        p_k: tuple[int, ...] = ()
         m_k = Matching(())
         m_j = Matching(())
         m_s = Matching(((1, n),))
     else:
-        v_mk, adj = connectors[-1], tree._adj
+        v_mk, adj = v_k[-1], tree._adj
         leaf_neighbors = [u for u in adj[v_mk] if len(adj[u]) == 1]
         l_mk = len(leaf_neighbors)
-        _require(len(middles) == omega - 1, "build_max: connector path bookkeeping broke")
-        p_k_list: list[int] = []
-        for i, c in enumerate(connectors):
-            p_k_list.append(c)
-            if i < len(middles):
-                p_k_list.append(middles[i])
-        p_k = tuple(p_k_list)
-        m_k = Matching(tuple((connectors[i], middles[i]) for i in range(omega - 1)))
+        m_k = Matching(tuple(zip(p_k[::2], p_k[1::2])))
         on_path = set(p_k)
         v_j: list[int] = []
-        for c in connectors:
+        for c in v_k:
             for u in adj[c]:
                 if u not in on_path and len(adj[u]) > 1:
                     v_j.append(u)
@@ -306,7 +286,7 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
     _self_check(tree, m_s, n - a, "build_max: M_s")
     return MaxCertificate(
         tree=tree,
-        v_k=tuple(connectors),
+        v_k=v_k,
         omega=omega,
         v_mk=v_mk,
         l_mk=l_mk,

@@ -36,7 +36,6 @@ from treenullity import (
     prufer_decode,
     prufer_encode,
     spectrum,
-    stats,
     tree_degree_sequences,
     verify_certificate,
 )
@@ -287,9 +286,9 @@ def test_c6_characterization(sweep):
     disagreements = []
     for s, sp in sweep.spectra.items():
         single = len(sp.by_nullity) == 1
-        st = stats(s)
+        st = bounds(s)
         amended = st.a == max(st.l, (s.n + 1) // 2)
-        equal = bounds(s).extremal_equal
+        equal = st.extremal_equal
         if single != amended or amended != equal:
             mismatches.append(s)
         if literal_characterization(s) != equal:
@@ -298,7 +297,7 @@ def test_c6_characterization(sweep):
     for s in disagreements:
         print(
             f"  unamended condition disagrees on {s} "
-            f"(n={s.n}, a={stats(s).a}, l={stats(s).l}, floor(n/2)={s.n // 2})"
+            f"(n={s.n}, a={bounds(s).a}, l={bounds(s).l}, floor(n/2)={s.n // 2})"
         )
     assert DegreeSequence((1, 1, 2, 2, 2)) in disagreements
     assert all(s.n % 2 == 1 for s in disagreements)
@@ -320,7 +319,7 @@ def _fixture_max_certificates():
 
 def test_c7_lemma_suite(scale_run):
     for s, cert in _fixture_max_certificates():
-        st = stats(s)
+        st = bounds(s)
         tree = cert.tree
         assert s.n - 1 - st.l == -cert.l_mk + sum(degrees(tree)[v] for v in cert.v_k)
         assert st.a - st.l <= cert.omega <= st.a - st.l + 1
@@ -368,7 +367,7 @@ def _connector_candidates(tree, s: DegreeSequence):
     internal-edge identity n - 1 - l = -l_mk + sum of degrees, and with
     consecutive members at distance 2.
     """
-    st = stats(s)
+    st = bounds(s)
     n, l, a = s.n, st.l, st.a
     deg = degrees(tree)
     internal = [v for v in range(1, n + 1) if deg[v] > 1]
@@ -540,7 +539,7 @@ def test_c9_property_suites(sweep):
     # Independence number bounded by the annihilation number, per tree.
     for n in range(2, 8):
         for s in tree_degree_sequences(n):
-            a = stats(s).a
+            a = bounds(s).a
             enumerate_trees(s, lambda t, a=a: _assert_alpha(t, a))
 
     # Partitioned enumeration equals the single-threaded run.

@@ -1,4 +1,4 @@
-"""Degree sequence parsing, stats and the closed-formula bounds."""
+"""Degree sequence parsing and the closed-formula bounds."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -16,7 +16,6 @@ from treenullity import (
     bounds,
     literal_characterization,
     parse_sequence,
-    stats,
 )
 
 
@@ -80,20 +79,20 @@ class TestStats:
         ],
     )
     def test_examples(self, text, l, m, a):
-        st = stats(parse_sequence(text))
+        st = bounds(parse_sequence(text))
         assert (st.l, st.m, st.a) == (l, m, a)
 
     @given(degree_sequences(min_n=3))
     @settings(max_examples=200, deadline=None)
     def test_annihilation_window(self, s):
-        st = stats(s)
+        st = bounds(s)
         assert max(st.l, (s.n + 1) // 2) <= st.a <= s.n - 1
         assert 2 <= st.l <= s.n - 1
 
     @given(degree_sequences(min_n=2))
     @settings(max_examples=100, deadline=None)
     def test_a_is_maximal(self, s):
-        st = stats(s)
+        st = bounds(s)
         assert sum(s.degrees[: st.a]) <= st.m
         if st.a < s.n:
             assert sum(s.degrees[: st.a + 1]) > st.m
@@ -165,5 +164,5 @@ class TestMinMaxEqual:
         b = bounds(s)
         assert b.extremal_equal == (b.nu_min == b.nu_max)
         if s.n > 2:
-            st = stats(s)
+            st = bounds(s)
             assert b.extremal_equal == (st.a == max(st.l, (s.n + 1) // 2))

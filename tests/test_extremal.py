@@ -28,7 +28,6 @@ from treenullity import (
     parse_sequence,
     random_degree_sequence,
     random_tree,
-    stats,
     tree_degree_sequences,
     verify_certificate,
 )
@@ -84,6 +83,8 @@ class TestBuildMin:
         cert = build_min(parse_sequence("1,1"))
         assert cert.tree.edges == ((1, 2),)
         assert cert.matching.edges == ((1, 2),)
+        assert cert.branch == BRANCH_MANY_LEAVES
+        assert cert.path_block == ()
 
     def test_singleton_path_block(self):
         cert = build_min(parse_sequence("1,1,2,2,2"))
@@ -635,7 +636,7 @@ class TestConstructionProperties:
     @settings(max_examples=80, deadline=None)
     def test_max_lemma_invariants(self, s):
         cert = build_max(s)
-        st = stats(s)
+        st = bounds(s)
         tree = cert.tree
         assert st.a - st.l <= cert.omega <= st.a - st.l + 1
         assert (cert.omega == st.a - st.l) == (cert.l_mk == 0)

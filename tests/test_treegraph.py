@@ -31,7 +31,6 @@ from treenullity import (
     prufer_encode,
     random_degree_sequence,
     random_tree,
-    stats,
 )
 from treenullity.treegraph import Matching, _is_label
 
@@ -263,7 +262,7 @@ class TestMatching:
         leaf_count = degrees(t).count(1)
         if n > 2:
             assert m.size <= min(n - leaf_count, n // 2)
-        st = stats(t.degree_multiset())
+        st = bounds(t.degree_multiset())
         assert m.size >= n - st.a
         assert t.independence_number() <= st.a
         assert t.nullity() <= 2 * st.a - n
