@@ -27,7 +27,7 @@ print(f"=== minimum nullity for {s} ===")
 cert = build_min(s)
 print(cert.tree.to_dot())
 print(f"branch: {cert.branch}")
-print(f"witness matching ({cert.matching.size} edges): {list(cert.matching)}")
+print(f"witness matching ({cert.matching.size} edges): {list(cert.matching.edges)}")
 print(f"nullity: {cert.tree.nullity()}")
 print()
 
@@ -36,9 +36,9 @@ cmax = build_max(s)
 print(cmax.tree.to_dot())
 print(f"connectors V_K = {list(cmax.v_k)} (omega = {cmax.omega})")
 print(f"v_mk = {cmax.v_mk} with {cmax.l_mk} leaf neighbors; P_K = {list(cmax.p_k)}")
-print(f"M_K = {list(cmax.m_k)}")
-print(f"M_J = {list(cmax.m_j)}")
-print(f"M_s = {list(cmax.m_s)}  ->  nu = {cmax.m_s.size}, nullity = {cmax.tree.nullity()}")
+print(f"M_K = {list(cmax.m_k.edges)}")
+print(f"M_J = {list(cmax.m_j.edges)}")
+print(f"M_s = {list(cmax.m_s.edges)}  ->  nu = {cmax.m_s.size}, nullity = {cmax.tree.nullity()}")
 print()
 
 print("=== verification reports ===")

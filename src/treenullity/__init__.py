@@ -45,12 +45,9 @@ from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     ConjectureScan,
     NullitySpectrum,
-    PrueferCode,
     conjecture_scan,
     count_trees,
-    enumerate_trees,
     prufer_decode,
-    prufer_encode,
     random_degree_sequence,
     random_tree,
     spectrum,
@@ -86,7 +83,6 @@ __all__ = [
     "NotTreeSum",
     "NullitySpectrum",
     "ParseError",
-    "PrueferCode",
     "SizeLimitExceeded",
     "TooSmall",
     "TreeNullityError",
@@ -97,13 +93,11 @@ __all__ = [
     "build_min",
     "conjecture_scan",
     "count_trees",
-    "enumerate_trees",
     "internal_leaf_adjacency_violations",
     "literal_characterization",
     "parse_edge_list",
     "parse_sequence",
     "prufer_decode",
-    "prufer_encode",
     "random_degree_sequence",
     "random_tree",
     "spectrum",

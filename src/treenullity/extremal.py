@@ -575,15 +575,16 @@ def _verify_max(
             )
         )
 
-    # V_K may be shorter than omega says, so its head is sliced.  A
-    # consecutive pair is a tree edge when one is the other's BFS parent.
+    # P_K runs from a connector to v_mk, which orients it whatever the
+    # labels.  A consecutive pair is a tree edge when one is the other's
+    # BFS parent.
     if omega == 0:
         p_k_ok = p_k == ()
     else:
         p_k_ok = (
             len(p_k) == 2 * omega - 1
             and len(on_path) == len(p_k)
-            and p_k[:1] == v_k[:1]
+            and p_k[0] in v_k
             and p_k[-1] == v_mk
             and on_path.issuperset(v_k)
             and all(parent[u] == w or parent[w] == u for u, w in zip(p_k, p_k[1:]))
@@ -600,10 +601,11 @@ def _verify_max(
         )
     )
     # M_s is M_K and M_J plus one edge at v_mk exactly when v_mk has a leaf;
-    # a star (omega = 0) has M_K = M_J = {} and M_s one edge at its hub n.
+    # a star (omega = 0) has M_K = M_J = {} and M_s one edge, which meets
+    # the hub whatever its label.
     m_k, m_j, m_s = cert.m_k.edges, cert.m_j.edges, cert.m_s.edges
     if omega == 0:
-        composed = not m_k and not m_j and len(m_s) == 1 and n in m_s[0]
+        composed = not m_k and not m_j and len(m_s) == 1
     else:
         kept = set(m_s)
         extra = kept.difference(m_k, m_j)

@@ -6,8 +6,8 @@ many vertices of each degree a subtree uses (:func:`_matching_counts`).
 Enumeration stays as the independent oracle.  Labeled trees on 1..n are in
 bijection with Prüfer codes of length n - 2, and the trees realizing a
 fixed degree sequence are the arrangements of the multiset that repeats
-label i exactly d_i - 1 times, walked in lexicographic order by
-:func:`enumerate_trees`, the exhaustive conjecture scan and the tests.
+label i exactly d_i - 1 times.  :func:`_codes` walks them in lexicographic
+order for the exhaustive conjecture scan and for the tests' oracles.
 
 Counts are exact integers throughout; only the sampling mode of the
 conjecture scan is approximate, and its report says so.
@@ -29,8 +29,6 @@ from .treegraph import Edge, LabeledTree, _is_label
 DEFAULT_ENUMERATION_CAP = 10**8
 DEFAULT_SAMPLE_BUDGET = 10_000
 
-PrueferCode = tuple[int, ...]
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -46,9 +44,8 @@ def _code_nu(code: Sequence[int], deg: Sequence[int]) -> tuple[int, list[int]]:
     fixes; callers that walk many codes of one sequence build it once.  The
     walk is the pointer variant of the classic decode: the smallest current
     leaf, ``leaves[k]``, is joined to ``code[k]``, and the final leaf to n.
-    :func:`prufer_encode` makes the same walk on a tree.  Along it each
-    removed leaf is matched to its parent when both are free: the rule of
-    :meth:`LabeledTree._cover`, applied in the decode order.
+    Along it each removed leaf is matched to its parent when both are free:
+    the rule of :meth:`LabeledTree._cover`, applied in the decode order.
     Leaves go children-first, so a leaf still free then hangs by a pendant
     edge, which some maximum matching contains, and the count is exact.
     """
@@ -112,37 +109,6 @@ def prufer_decode(code: Sequence[int], n: int) -> LabeledTree:
     return LabeledTree(n, _decode_edges(code, n))
 
 
-def prufer_encode(tree: LabeledTree) -> PrueferCode:
-    """Inverse of :func:`prufer_decode`, by the elimination walk on the tree.
-
-    Rooted at n, the vertex of smallest label with no children left goes
-    next, and its parent (kept from the tree's validating BFS from n) is
-    the next symbol.  This is the walk :func:`_code_nu` makes on the code,
-    step for step, with the same pointer: a removal can make only its
-    parent a leaf, and one below the pointer is taken at once.
-    """
-    n, parent = tree.n, tree._parent
-    kids = [len(a) - 1 for a in tree._adj]  # children left; n has no parent
-    kids[n] += 1
-    code: list[int] = []
-    ptr = 1
-    while kids[ptr]:
-        ptr += 1
-    leaf = ptr
-    for _ in range(n - 2):
-        p = parent[leaf]
-        code.append(p)
-        kids[p] -= 1
-        if p < ptr and not kids[p]:
-            leaf = p
-        else:
-            ptr += 1
-            while kids[ptr]:
-                ptr += 1
-            leaf = ptr
-    return tuple(code)
-
-
 # ---------------------------------------------------------------------------
 # Counting and the symbol multiset
 # ---------------------------------------------------------------------------
@@ -168,13 +134,6 @@ def _count_within(s: DegreeSequence, cap: int | None) -> int | None:
 def count_trees(s: DegreeSequence) -> int:
     """Number of labeled trees realizing ``s``: (n-2)! / prod (d_i - 1)!."""
     return _count_within(s, None)
-
-
-def _capped_total(s: DegreeSequence, cap: int) -> int:
-    total = _count_within(s, cap)
-    if total is None:
-        raise EnumerationCapExceeded(f"more than {cap} trees")
-    return total
 
 
 def _symbol_multiset(s: DegreeSequence) -> list[int]:
@@ -261,32 +220,18 @@ def _partition(total: int, jobs: int) -> tuple[int, list[tuple[int, int]]]:
 
 def _fan_out(worker: Callable, tasks: list, workers: int) -> Iterator:
     """``worker`` over ``tasks``, results in task order: in-process for one
-    worker, otherwise through one fork pool.  Closing the iterator early stops
-    the remaining work."""
+    worker, otherwise through one fork pool.  Closing the iterator early
+    cancels the tasks not yet started and joins the workers once their
+    running tasks end; no worker is killed, so none can die holding the
+    pool's result-queue lock."""
     if workers == 1:
         yield from map(worker, tasks)
         return
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        yield from pool.imap(worker, tasks)
-
-
-def enumerate_trees(
-    s: DegreeSequence,
-    visitor: Callable[[LabeledTree], None],
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> int:
-    """Visit every labeled tree with degree sequence ``s`` exactly once.
-
-    Trees arrive in the lexicographic order of their Prüfer codes.  The
-    visitor must be pure.  Returns the number of trees visited.
-    """
-    total = _capped_total(s, cap)
-    n = s.n
-    for code in _codes(s, 0, total):
-        visitor(LabeledTree(n, _decode_edges(code, n)))
-    return total
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(worker, tasks)
 
 
 @dataclass(frozen=True)
@@ -381,7 +326,9 @@ def spectrum(s: DegreeSequence, cap: int = DEFAULT_ENUMERATION_CAP) -> NullitySp
 
     Classes over ``cap`` trees still raise :class:`EnumerationCapExceeded`.
     """
-    total = _capped_total(s, cap)
+    total = _count_within(s, cap)
+    if total is None:
+        raise EnumerationCapExceeded(f"more than {cap} trees")
     by_matching = _matching_counts(s, total)
     b, counted, support = bounds(s), sum(by_matching.values()), sorted(by_matching)
     if counted != total or support != list(range(b.nu_min, b.nu_max + 1)):
@@ -499,30 +446,21 @@ def _shuffled(base: list[int], lanes: _ShuffleLanes, seed: int) -> list[int]:
     return sym
 
 
-def _shuffled_symbols(s: DegreeSequence, seed: int) -> list[int]:
-    """The symbol multiset of ``s``, shuffled by :func:`_shuffled` from
-    ``seed``.  A uniform arrangement of the multiset is a uniform labeled
-    tree.
+def random_tree(s: DegreeSequence, seed: int) -> LabeledTree:
+    """Uniform sample over all labeled trees with degree sequence ``s``: the
+    decode of the symbol multiset shuffled by :func:`_shuffled` from
+    ``seed``, since a uniform arrangement of the multiset is a uniform
+    labeled tree.
 
     The swaps' SplitMix64 outputs are mixed together, one 128-bit lane of a
-    single int per draw (:class:`_ShuffleLanes`), with every xor-shift
-    masked back to the low 64 bits before the next multiply.  A draw can be
-    rejected only by an output within 2^32 of 2^64; when one comes up, the
-    shuffle replays on the scalar :class:`_SplitMix64` stream.  So a seed
-    gives the arrangement of one scalar bounded draw per swap, as it always
-    has.
+    single int per draw (:class:`_ShuffleLanes`).  A draw can be rejected
+    only by an output within 2^32 of 2^64; when one comes up, the shuffle
+    replays on the scalar :class:`_SplitMix64` stream.  So a seed gives the
+    arrangement of one scalar bounded draw per swap, as it always has.
     """
     sym = _symbol_multiset(s)
-    return _shuffled(sym, _ShuffleLanes(len(sym)), seed)
-
-
-def random_tree(s: DegreeSequence, seed: int) -> LabeledTree:
-    """Uniform sample over all labeled trees with degree sequence ``s``.
-
-    Reproducible per seed; see :func:`_shuffled_symbols` for the exact
-    shuffle contract.
-    """
-    return LabeledTree(s.n, _decode_edges(_shuffled_symbols(s, seed), s.n))
+    code = _shuffled(sym, _ShuffleLanes(len(sym)), seed)
+    return LabeledTree(s.n, _decode_edges(code, s.n))
 
 
 def random_degree_sequence(n: int, seed: int) -> DegreeSequence:

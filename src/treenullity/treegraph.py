@@ -1,18 +1,19 @@
-"""Labeled trees with exact matching, nullity, independence and rank.
+"""Labeled trees with exact matching, nullity and rank.
 
 Vertices are labeled 1..n.  Every tree is validated on construction, and
 one rule, :func:`_is_label`, decides what a label is: an int in 1..n, and
 no bool.  Anything else, as an edge end, a vertex argument or a Prüfer
 symbol, raises :class:`LabelOutOfRange`.  A :class:`Matching` is tied to no
 tree, so it refuses only ends that are no int or a bool;
-:meth:`Matching.is_valid_in` tests the range.  Every operation is pure and exact.  The matching comes
-from one rule, children first along the BFS from n kept at construction:
-match a vertex to its parent when both are free.  A vertex still free when
-it is reached has only its parent edge left, and a pendant edge lies in
-some maximum matching; the rule is exact on trees with no blossom
-machinery.  The walk marks only the parent end of each matched edge, and
-the marks are a vertex cover as large as the matching, which no matching
-exceeds (König 1931, Egerváry 1931): a proof of nu that trusts no walk.
+:meth:`Matching.is_valid_in` tests the range.  Every operation is pure and
+exact.  The matching comes from one rule, children first along the BFS from
+n kept at construction: match a vertex to its parent when both are free.  A
+vertex still free when it is reached has only its parent edge left, and a
+pendant edge lies in some maximum matching; the rule is exact on trees with
+no blossom machinery.  The walk marks only the parent end of each matched
+edge, and the marks are a vertex cover as large as the matching, which no
+matching exceeds (König 1931, Egerváry 1931): a proof of nu that trusts no
+walk.
 
 One BFS from n at construction proves connectivity and keeps its order and
 parents for the matching and the 2-coloring.  n - 1 edges that
@@ -97,9 +98,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
 
     def is_valid_in(self, tree: "LabeledTree") -> bool:
         """Every edge belongs to the tree and no two edges share a vertex."""
@@ -227,11 +225,6 @@ class LabeledTree:
     def nullity(self) -> int:
         """Multiplicity of the zero eigenvalue: n - 2 * nu for trees."""
         return self.n - 2 * self._cover().count(1)
-
-    def independence_number(self) -> int:
-        """n - nu: minimum vertex cover equals nu in bipartite graphs, and
-        the independent sets are exactly the cover complements."""
-        return self.n - self._cover().count(1)
 
     def adjacency_rank_exact(self, limit: int = DEFAULT_RANK_LIMIT) -> int:
         """Exact rank of the 0/1 adjacency matrix, by elimination over GF(2).

@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from treenullity import (
-    DegreeSequence,
-    LabeledTree,
-    count_trees,
-    enumerate_trees,
-    prufer_decode,
-)
-from treenullity.oracle import _code_nu, _codes
+from treenullity import DegreeSequence, LabeledTree, count_trees, prufer_decode
+from treenullity.oracle import _code_nu, _codes, _decode_edges
 
 
 @st.composite
@@ -24,6 +19,36 @@ def prufer_codes(draw, min_n: int = 2, max_n: int = 12):
     n = draw(st.integers(min_n, max_n))
     code = draw(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
     return tuple(code), n
+
+
+def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
+    """Inverse of ``prufer_decode``, by the textbook elimination over
+    ``tree.edges`` alone: n - 2 times, remove the smallest leaf and write
+    down its neighbour.  It shares no code with the library's decode."""
+    adj: list[set[int]] = [set() for _ in range(tree.n + 1)]
+    for a, b in tree.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    leaves = [v for v in range(1, tree.n + 1) if len(adj[v]) == 1]
+    heapq.heapify(leaves)
+    code = []
+    for _ in range(tree.n - 2):
+        leaf = heapq.heappop(leaves)
+        (p,) = adj[leaf]
+        code.append(p)
+        adj[p].remove(leaf)
+        if len(adj[p]) == 1:
+            heapq.heappush(leaves, p)
+    return tuple(code)
+
+
+def enumerate_trees(s: DegreeSequence, visitor) -> int:
+    """Visit every labeled tree realizing ``s`` once, in the lexicographic
+    order of its Prüfer code, and return how many there were."""
+    total = count_trees(s)
+    for code in _codes(s, 0, total):
+        visitor(LabeledTree(s.n, _decode_edges(code, s.n)))
+    return total
 
 
 def every_labeled_tree(max_n: int) -> list[LabeledTree]:

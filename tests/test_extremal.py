@@ -21,6 +21,7 @@ from treenullity import (
     ConstructionInvariantViolated,
     DegreeSequence,
     LabeledTree,
+    MaxCertificate,
     bounds,
     build_max,
     build_min,
@@ -156,12 +157,59 @@ class TestBuildMax:
         assert a == b
 
 
+def _relabelled(cert, label):
+    """``cert`` with every vertex v renamed ``label[v]``: V_K re-sorted, and
+    P_K in its own order, which still ends at v_mk."""
+    def edges(m):
+        return tuple((label[u], label[v]) for u, v in m.edges)
+
+    fields = {"tree": LabeledTree(cert.tree.n, edges(cert.tree))}
+    if isinstance(cert, MaxCertificate):
+        fields.update(
+            v_k=tuple(sorted(label[v] for v in cert.v_k)),
+            v_mk=label.get(cert.v_mk),
+            p_k=tuple(label[v] for v in cert.p_k),
+            m_k=Matching(edges(cert.m_k)),
+            m_j=Matching(edges(cert.m_j)),
+            m_s=Matching(edges(cert.m_s)),
+        )
+    else:
+        fields.update(
+            matching=Matching(edges(cert.matching)),
+            path_block=tuple(label[v] for v in cert.path_block),
+        )
+    return dataclasses.replace(cert, **fields)
+
+
 class TestVerify:
     @pytest.mark.parametrize("s", [FIG_1A, FIG_1B, STAR_9, FIG_2B, FIG_2C])
     def test_produced_certificates_pass(self, s):
         for cert in (build_min(s), build_max(s)):
             report = verify_certificate(cert, s)
             assert report.ok, report.failures()
+
+    def test_reversed_labels_verify(self):
+        # v -> n + 1 - v puts the leaves on the large labels and walks P_K
+        # from the largest connector down; verify reads no label order.
+        checked = 0
+        for n in range(2, 10):
+            reverse = {v: n + 1 - v for v in range(1, n + 1)}
+            for s in tree_degree_sequences(n):
+                for cert in (build_min(s), build_max(s)):
+                    report = verify_certificate(_relabelled(cert, reverse), s)
+                    assert report.ok, (s, report.failures())
+                    checked += 1
+        assert checked == 90
+
+    def test_star_with_its_hub_off_n_verifies(self):
+        s = parse_sequence("1,1,1,1,4")
+        cert = build_max(s)
+        assert cert.m_s.edges == ((1, 5),)
+        relabelled = _relabelled(cert, {1: 1, 2: 5, 3: 3, 4: 4, 5: 2})
+        assert relabelled.m_s.edges == ((1, 2),)
+        report = verify_certificate(relabelled, s)
+        assert report.ok, report.failures()
+        assert _check(report, "m_s-size-formula").detail == "1 vs n - a = 1"
 
     def test_detects_deleted_edge(self):
         cert = build_min(FIG_1A)

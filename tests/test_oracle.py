@@ -4,13 +4,25 @@ import hashlib
 import itertools
 import multiprocessing
 import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import code_histogram, degree_sequences, degrees, labeled_trees, slow_matching_histogram
+from conftest import (
+    code_histogram,
+    degree_sequences,
+    degrees,
+    enumerate_trees,
+    labeled_trees,
+    prufer_encode,
+    slow_matching_histogram,
+)
 from treenullity import (
     ConstructionInvariantViolated,
     DegreeSequence,
@@ -20,10 +32,8 @@ from treenullity import (
     bounds,
     conjecture_scan,
     count_trees,
-    enumerate_trees,
     parse_sequence,
     prufer_decode,
-    prufer_encode,
     random_tree,
     spectrum,
     tree_degree_sequences,
@@ -31,12 +41,12 @@ from treenullity import (
 from treenullity import cli, oracle
 from treenullity.oracle import (
     _code_nu,
+    _count_within,
     _decode_edges,
     _matching_counts,
     _next_permutation,
     _partition,
     _shuffled,
-    _shuffled_symbols,
     _ShuffleLanes,
     _SplitMix64,
     _symbol_multiset,
@@ -104,7 +114,9 @@ class TestPrufer:
     @pytest.mark.parametrize("n,seed", [(1_000, 1), (10_000, 2)])
     def test_encode_at_scale(self, n, seed):
         s = random_degree_sequence(n, seed)
-        assert prufer_encode(random_tree(s, seed)) == tuple(_shuffled_symbols(s, seed))
+        sym = _symbol_multiset(s)
+        code = _shuffled(sym, _ShuffleLanes(len(sym)), seed)
+        assert prufer_encode(random_tree(s, seed)) == tuple(code)
 
 
 class TestCounting:
@@ -137,8 +149,14 @@ class TestEnumeration:
         assert trees[0].edges == tuple((i, 9) for i in range(1, 9))
 
     def test_cap(self):
+        # The capped count that spectrum and the conjecture scan share stops
+        # just above the cap; 12 trees realize this sequence.
+        s = parse_sequence("1,1,1,2,2,3")
+        assert _count_within(s, 11) is None
+        assert _count_within(s, 12) == 12
         with pytest.raises(EnumerationCapExceeded):
-            enumerate_trees(parse_sequence("1,1,1,2,2,3"), lambda t: None, cap=3)
+            spectrum(s, cap=11)
+        assert spectrum(s, cap=12).total == 12
 
     def test_unrank_agrees_with_iteration(self):
         s = parse_sequence("1,1,1,2,2,3")
@@ -378,7 +396,8 @@ class TestSeedStream:
     def test_shuffled_symbols(self, n, expected):
         s = random_degree_sequence(n, seed=n)
         for seed, want in zip(self.SEEDS, expected):
-            sym = _shuffled_symbols(s, seed)
+            base = _symbol_multiset(s)
+            sym = _shuffled(base, _ShuffleLanes(len(base)), seed)
             assert (sym if n <= 4 else _sha(sym)) == want
 
     @pytest.mark.parametrize(
@@ -517,6 +536,32 @@ class TestConjectureScan:
         sampling_base = conjecture_scan(s, cap=10, samples=64, seed=3)
         for jobs in (2, 5):
             assert conjecture_scan(s, cap=10, samples=64, seed=3, jobs=jobs) == sampling_base
+
+    def test_early_break_leaves_no_child(self):
+        # One-code ranges on two workers: each scan stops once both nu have
+        # a witness, closing the fan-out with ranges still queued or
+        # running.  No scan may hang, and no worker may outlive its scan.
+        script = textwrap.dedent("""
+            import multiprocessing
+            from treenullity import oracle, parse_sequence
+
+            oracle._CHUNK = 1
+            s = parse_sequence("1,1,1,2,2,3")
+            base = oracle.conjecture_scan(s)
+            for _ in range(200):
+                assert oracle.conjecture_scan(s, jobs=2) == base
+            assert not multiprocessing.active_children()
+            print("ok")
+        """)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
     def test_large_sampling_scan_is_fast(self):
         s = random_degree_sequence(10**5, seed=1)

@@ -17,6 +17,7 @@ from conftest import (
     fraction_rank,
     labeled_trees,
     neighbours,
+    prufer_encode,
 )
 from treenullity import (
     LabelOutOfRange,
@@ -28,7 +29,6 @@ from treenullity import (
     bounds,
     parse_edge_list,
     prufer_decode,
-    prufer_encode,
     random_degree_sequence,
     random_tree,
 )
@@ -264,7 +264,7 @@ class TestMatching:
             assert m.size <= min(n - leaf_count, n // 2)
         st = bounds(t.degree_multiset())
         assert m.size >= n - st.a
-        assert t.independence_number() <= st.a
+        assert n - m.size <= st.a  # the independence number
         assert t.nullity() <= 2 * st.a - n
 
     @pytest.mark.parametrize("shape", ["path", "near-star"])
@@ -298,15 +298,19 @@ class TestNullityIndependence:
         assert t.adjacency_rank_exact() == 2 * t.maximum_matching().size
 
     def test_independence_examples(self):
-        assert path(4).independence_number() == 2
-        assert star(9).independence_number() == 8
-        assert LabeledTree(11, FIG_1A_EDGES).independence_number() == 6
+        for t, alpha in ((path(4), 2), (star(9), 8), (LabeledTree(11, FIG_1A_EDGES), 6)):
+            assert t.n - t.maximum_matching().size == alpha
 
     @given(labeled_trees())
     @settings(max_examples=150, deadline=None)
     def test_gallai_and_parity(self, t):
         nu = t.maximum_matching().size
-        assert t.independence_number() + nu == t.n
+        # The unmarked vertices of the König cover are independent, and a
+        # matching edge holds at most one independent vertex: alpha = n - nu.
+        cover = t._cover()
+        free = {v for v in range(1, t.n + 1) if not cover[v]}
+        assert len(free) == t.n - nu
+        assert not any(u in free and v in free for u, v in t.edges)
         assert t.nullity() == t.n - 2 * nu >= 0
         assert t.nullity() % 2 == t.n % 2
 
