@@ -23,7 +23,7 @@ One caution on a folklore claim about the maximum builder: it is *not* true
 that every internal vertex outside V_K has a leaf neighbor.  Degree-2
 vertices sitting on the connector path P_K between two V_K members have no
 room for one (any realization of a path degree sequence with n >= 6 is
-already a counterexample).  The load-bearing fact, checked here, is that
+already a counterexample).  The load-bearing fact, checked by verify, is that
 every internal vertex *off* P_K has a leaf neighbor, which is what the
 matching M_J needs.  :func:`internal_leaf_adjacency_violations` exposes the
 on-path exceptions for inspection.
@@ -109,24 +109,23 @@ def _require(condition: bool, message: str) -> None:
         raise ConstructionInvariantViolated(message)
 
 
-def _self_check(tree: LabeledTree, m: Matching, nu: int, what: str) -> None:
-    """A builder's witness ``m`` is a matching of ``tree`` with ``nu`` edges,
-    and the cover of :func:`_cover_nu` proves that none is larger."""
-    _require(m.is_valid_in(tree), f"{what} is not a matching")
-    _require(m.size == nu, f"{what} has {m.size} edges, the formula {nu}")
-    _require(_cover_nu(tree) == (nu, True), f"{what} is no maximum matching")
-
-
-def _finish_tree(n: int, edges: list[Edge], s: DegreeSequence, what: str) -> LabeledTree:
-    """Validate the raw edge list and its degree multiset."""
+def _proved_tree(
+    s: DegreeSequence, edges: list[Edge], m: Matching, nu: int, what: str
+) -> LabeledTree:
+    """The tree on ``edges``, once its degree multiset is ``s`` and the
+    builder's witness ``m`` is a matching of it with ``nu`` edges that the
+    cover of :func:`_cover_nu` proves maximum."""
     try:
-        tree = LabeledTree(n, edges)
+        tree = LabeledTree(s.n, edges)
     except InputError as exc:
         raise ConstructionInvariantViolated(f"{what}: bad edge set ({exc})") from exc
     _require(
         tuple(sorted(map(len, tree._adj[1:]))) == s.degrees,
         f"{what}: degree multiset mismatch",
     )
+    _require(m.is_valid_in(tree), f"{what}: the witness is not a matching")
+    _require(m.size == nu, f"{what}: the witness has {m.size} edges, the formula {nu}")
+    _require(_cover_nu(tree) == (nu, True), f"{what}: the witness is no maximum matching")
     return tree
 
 
@@ -186,8 +185,7 @@ def build_min(s: DegreeSequence) -> MinCertificate:
         matching = Matching(tuple(pairs))
         branch = BRANCH_FEW_LEAVES
 
-    tree = _finish_tree(n, edges, s, "build_min")
-    _self_check(tree, matching, b.nu_max, "build_min: witness")
+    tree = _proved_tree(s, edges, matching, b.nu_max, "build_min")
     return MinCertificate(
         tree=tree,
         branch=branch,
@@ -210,6 +208,13 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
     members end up at distance exactly 2, and the matching M_s built from
     M_K (along the connector path), M_J (off-path internal vertices matched
     to private leaves) and at most one leaf of v_mk has size n - a(s).
+
+    The growth itself yields the witnesses.  M_J pairs n with its leaf 1,
+    and each frontier vertex given children with its first child, a leaf,
+    except the middle that leads to the next connector.  The last round
+    breaks off once all n vertices are placed: its connector is v_mk, its
+    frontier vertices left without children are v_mk's l_mk leaves, and
+    M_s takes the smallest of them.
     """
     n = s.n
     d = (0,) + s.degrees
@@ -225,6 +230,7 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
     bottom = l + 1  # next (smallest) unused internal degree, for connectors
     top = n - 1  # next (largest) unused internal degree, for the frontier
     path: list[int] = []  # P_K in walk order: connector, middle, ..., connector
+    m_j_edges: list[Edge] = [(1, n)]  # V_J to a leaf: n, then the frontier off P_K
 
     while placed < n:
         c = k
@@ -234,6 +240,7 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
         frontier = [h - 1 - x for x in range(dc - 1)]
         edges.extend((c, f) if c < f else (f, c) for f in frontier)
         placed += dc - 1
+        served: list[Edge] = []  # (first child, vj) for each vj given children
         if placed == n:
             break
         for vj in frontier:  # decreasing index: first takes the largest degree
@@ -241,18 +248,18 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
             top -= 1
             children = list(range(k + 1, k + dj))
             edges.extend((vj, ch) if vj < ch else (ch, vj) for ch in children)
+            served.append((k + 1, vj))
             placed += dj - 1
             k += dj - 1
             if placed == n:
                 break
-        else:  # vertices remain, so vj is the middle to the next connector
-            path.append(vj)
+        else:  # vertices remain, so vj is the middle to the next connector, off V_J
+            path.append(served.pop()[1])
+        m_j_edges.extend(served)
         h -= dc - 1
 
     v_k, p_k = tuple(path[::2]), tuple(path)
     omega = len(v_k)
-    tree = _finish_tree(n, edges, s, "build_max")
-
     if omega == 0:
         v_mk: int | None = None
         l_mk = 0
@@ -260,30 +267,14 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
         m_j = Matching(())
         m_s = Matching(((1, n),))
     else:
-        v_mk, adj = v_k[-1], tree._adj
-        leaf_neighbors = [u for u in adj[v_mk] if len(adj[u]) == 1]
-        l_mk = len(leaf_neighbors)
+        # The last round broke off, so its unserved frontier is v_mk's leaves.
+        v_mk, l_mk = path[-1], len(frontier) - len(served)
         m_k = Matching(tuple(zip(p_k[::2], p_k[1::2])))
-        on_path = set(p_k)
-        v_j: list[int] = []
-        for c in v_k:
-            for u in adj[c]:
-                if u not in on_path and len(adj[u]) > 1:
-                    v_j.append(u)
-        v_j = sorted(set(v_j))
-        m_j_edges: list[Edge] = []
-        for u in v_j:
-            leaf = min((w for w in adj[u] if len(adj[w]) == 1), default=0)
-            _require(leaf > 0, f"build_max: off-path internal vertex {u} lacks a leaf")
-            m_j_edges.append((u, leaf))
         m_j = Matching(tuple(m_j_edges))
-        m_s_edges = list(m_k.edges) + list(m_j.edges)
-        if l_mk > 0:
-            u = min(leaf_neighbors)
-            m_s_edges.append((u, v_mk))
-        m_s = Matching(tuple(m_s_edges))
+        extra = ((frontier[-1], v_mk),) if l_mk > 0 else ()
+        m_s = Matching(m_k.edges + m_j.edges + extra)
 
-    _self_check(tree, m_s, n - a, "build_max: M_s")
+    tree = _proved_tree(s, edges, m_s, n - a, "build_max")
     return MaxCertificate(
         tree=tree,
         v_k=v_k,
@@ -499,7 +490,7 @@ def _verify_max(
     n, l, a = s.n, b.l, b.a
     omega, v_k, v_mk, p_k = cert.omega, cert.v_k, cert.v_mk, cert.p_k
     adj = tree._adj
-    on_path = set(p_k)
+    on_path = {v: i for i, v in enumerate(p_k)}  # P_K's vertices and their places
     # V_J, the vertices M_J serves: the internal neighbours of V_K off P_K
     # (none for omega = 0).  M_J gives each of them one edge to a leaf; an
     # end is read in adj only once the edge is known to be a tree edge, as
@@ -538,11 +529,14 @@ def _verify_max(
     # neighbor (they cannot also be adjacent: a tree has no triangle).  On
     # the kept BFS from n (parent[n] = 0, parent[0] = -1) that neighbor is
     # the parent of both, or the parent of one and the child of the other.
+    # Members are consecutive along P_K, whatever their labels; those off
+    # P_K come first.
     parent = tree._parent
+    along = sorted(v_k, key=lambda v: on_path.get(v, -1))
     consec = all(
         u != w
         and (parent[u] == parent[w] or parent[parent[u]] == w or parent[parent[w]] == u)
-        for u, w in zip(v_k, v_k[1:])
+        for u, w in zip(along, along[1:])
     )
     checks.append(CheckResult("v_k-consecutive-distance-2", consec, ""))
     color = tree.two_coloring()
@@ -586,7 +580,7 @@ def _verify_max(
             and len(on_path) == len(p_k)
             and p_k[0] in v_k
             and p_k[-1] == v_mk
-            and on_path.issuperset(v_k)
+            and on_path.keys() >= set(v_k)
             and all(parent[u] == w or parent[w] == u for u, w in zip(p_k, p_k[1:]))
         )
     checks.append(CheckResult("p_k-path", p_k_ok, f"{len(p_k)} vertices"))

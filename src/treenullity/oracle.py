@@ -203,7 +203,7 @@ def _codes(s: DegreeSequence, start: int, count: int) -> Iterator[list[int]]:
         yield sym
 
 
-_CHUNK = 1_000_000  # longest rank range handed to one task
+_CHUNK = 100_000  # longest rank range handed to one task
 
 
 def _partition(total: int, jobs: int) -> tuple[int, list[tuple[int, int]]]:
@@ -221,9 +221,12 @@ def _partition(total: int, jobs: int) -> tuple[int, list[tuple[int, int]]]:
 def _fan_out(worker: Callable, tasks: list, workers: int) -> Iterator:
     """``worker`` over ``tasks``, results in task order: in-process for one
     worker, otherwise through one fork pool.  Closing the iterator early
-    cancels the tasks not yet started and joins the workers once their
-    running tasks end; no worker is killed, so none can die holding the
-    pool's result-queue lock."""
+    cancels the tasks the pool has not queued and joins the workers once
+    they have run the rest: the one each is running and at most
+    ``workers + 1`` queued ahead, so the wait covers at most
+    ``2 * workers + 1`` tasks, ranges of at most ``_CHUNK`` codes for a scan.
+    No worker is killed, so none can die holding the pool's result-queue
+    lock."""
     if workers == 1:
         yield from map(worker, tasks)
         return

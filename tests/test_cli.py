@@ -7,7 +7,16 @@ import sys
 
 import pytest
 
-from treenullity import cli, parse_edge_list, parse_sequence, random_degree_sequence, spectrum
+from treenullity import (
+    build_max,
+    build_min,
+    cli,
+    parse_edge_list,
+    parse_sequence,
+    random_degree_sequence,
+    spectrum,
+    tree_degree_sequences,
+)
 from treenullity.cli import run
 
 FIG_1A = "1,1,1,1,1,1,2,2,3,3,4"
@@ -279,6 +288,19 @@ def test_golden_outputs(capsys, name):
         code, out, err = invoke(capsys, command[0], text, *command[1:])
         digest.update(f"{' '.join(command)}\0{code}\0{out}\0{err}\0".encode())
     assert digest.hexdigest() == GOLDEN_DIGESTS[name]
+
+
+def test_golden_certificates():
+    """Both builders' certificates, byte for byte: every sequence with
+    n <= 13 and one random sequence per seventh n from 14 to 1995."""
+    sequences = [s for n in range(2, 14) for s in tree_degree_sequences(n)]
+    sequences += [random_degree_sequence(n, n) for n in range(14, 2000, 7)]
+    assert len(sequences) == 479
+    digest = hashlib.sha256()
+    for s in sequences:
+        for cert in (build_min(s), build_max(s)):
+            digest.update(json.dumps(cert.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == "7ea400bfcee7d74cefab8615fd74aed1a8d3963a6792e23ccaf02b5c81eb154c"
 
 
 # verify at n = 2000, where the path block, P_K and the off-path leaf scan

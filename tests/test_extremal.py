@@ -190,16 +190,23 @@ class TestVerify:
 
     def test_reversed_labels_verify(self):
         # v -> n + 1 - v puts the leaves on the large labels and walks P_K
-        # from the largest connector down; verify reads no label order.
-        checked = 0
+        # from the largest connector down; a random relabelling, or swapping
+        # the connectors 3 and 4 of P_K (2, 7, 3, 6, 4), also breaks the
+        # connectors' label order along P_K.  Verify reads no label order.
+        swap = parse_sequence("1,1,2,2,2,2,2,2")
+        cases = [(swap, build_max(swap), {**{v: v for v in range(1, 9)}, 3: 4, 4: 3})]
+        rng = random.Random(1)
         for n in range(2, 10):
-            reverse = {v: n + 1 - v for v in range(1, n + 1)}
+            labels = range(1, n + 1)
+            reverse = {v: n + 1 - v for v in labels}
             for s in tree_degree_sequences(n):
                 for cert in (build_min(s), build_max(s)):
-                    report = verify_certificate(_relabelled(cert, reverse), s)
-                    assert report.ok, (s, report.failures())
-                    checked += 1
-        assert checked == 90
+                    cases.append((s, cert, reverse))
+                    cases += [(s, cert, dict(zip(labels, rng.sample(labels, n)))) for _ in range(5)]
+        assert len(cases) == 1 + 90 * 6
+        for s, cert, label in cases:
+            report = verify_certificate(_relabelled(cert, label), s)
+            assert report.ok, (s, label, report.failures())
 
     def test_star_with_its_hub_off_n_verifies(self):
         s = parse_sequence("1,1,1,1,4")
@@ -317,7 +324,13 @@ class TestVerify:
             ),
             # OMEGA_3 has P_K (4, 12, 6, 11, 8) and M_K ((4, 12), (6, 11)).
             ("max", OMEGA_3, {"p_k": (8, 11, 6, 12, 4)}, {"p_k-path"}),
-            ("max", OMEGA_3, {"p_k": (12, 6, 11, 8, 4)}, {"p_k-path", "m_k-on-path"}),
+            # Along this P_K, V_K's members 8 and 4 are at distance 4.
+            (
+                "max",
+                OMEGA_3,
+                {"p_k": (12, 6, 11, 8, 4)},
+                {"p_k-path", "m_k-on-path", "v_k-consecutive-distance-2"},
+            ),
             # No consecutive pair is a tree edge, although both M_K edges
             # join two P_K vertices that are adjacent in the tree.
             ("max", OMEGA_3, {"p_k": (4, 6, 8, 12, 11)}, {"p_k-path", "m_k-on-path"}),
