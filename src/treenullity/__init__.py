@@ -47,7 +47,6 @@ from .oracle import (
     NullitySpectrum,
     conjecture_scan,
     count_trees,
-    prufer_decode,
     random_degree_sequence,
     random_tree,
     spectrum,
@@ -97,7 +96,6 @@ __all__ = [
     "literal_characterization",
     "parse_edge_list",
     "parse_sequence",
-    "prufer_decode",
     "random_degree_sequence",
     "random_tree",
     "spectrum",

@@ -7,7 +7,8 @@ Enumeration stays as the independent oracle.  Labeled trees on 1..n are in
 bijection with Prüfer codes of length n - 2, and the trees realizing a
 fixed degree sequence are the arrangements of the multiset that repeats
 label i exactly d_i - 1 times.  :func:`_codes` walks them in lexicographic
-order for the exhaustive conjecture scan and for the tests' oracles.
+order for the exhaustive scan and the tests; the one decode, :func:`_code_nu`
+then :func:`_column_edges`, serves the scan and :func:`random_tree` alike.
 
 Counts are exact integers throughout; only the sampling mode of the
 conjecture scan is approximate, and its report says so.
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .degseq import DegreeSequence, bounds
-from .errors import ConstructionInvariantViolated, EnumerationCapExceeded, LabelOutOfRange
-from .treegraph import Edge, LabeledTree, _is_label
+from .errors import ConstructionInvariantViolated, EnumerationCapExceeded
+from .treegraph import Edge, LabeledTree
 
 DEFAULT_ENUMERATION_CAP = 10**8
 DEFAULT_SAMPLE_BUDGET = 10_000
@@ -84,29 +85,6 @@ def _column_edges(code: Sequence[int], leaves: Sequence[int]) -> list[Edge]:
     edges = [(a, x) if a < x else (x, a) for a, x in zip(leaves, code)]
     edges.append((leaves[-1], len(code) + 2))
     return edges
-
-
-def _decode_edges(code: Sequence[int], n: int) -> list[Edge]:
-    """Edges of the unique tree with this code (labels assumed valid)."""
-    deg = [1] * (n + 1)
-    for x in code:
-        deg[x] += 1
-    return _column_edges(code, _code_nu(code, deg)[1])
-
-
-def prufer_decode(code: Sequence[int], n: int) -> LabeledTree:
-    """The unique labeled tree on 1..n with Prüfer code ``code``.
-
-    Vertex i ends up with degree (occurrences of i in the code) + 1.
-    """
-    if not (isinstance(n, int) and n >= 2):
-        raise LabelOutOfRange(f"need an int n >= 2, got {n!r}")
-    if len(code) != n - 2:
-        raise LabelOutOfRange(f"code length {len(code)} != n - 2 = {n - 2}")
-    for x in code:
-        if not _is_label(x, n):
-            raise LabelOutOfRange(f"code symbol {x!r} outside 1..{n}")
-    return LabeledTree(n, _decode_edges(code, n))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +174,7 @@ def _unrank_permutation(s: DegreeSequence, rank: int) -> list[int]:
 def _codes(s: DegreeSequence, start: int, count: int) -> Iterator[list[int]]:
     """The Prüfer codes of ranks start .. start + count - 1 (count >= 1), in
     lexicographic order.  One list is yielded, advanced in place."""
-    sym = _unrank_permutation(s, start) if start else _symbol_multiset(s)
+    sym = _unrank_permutation(s, start)
     yield sym
     for _ in range(count - 1):
         _next_permutation(sym)
@@ -451,9 +429,8 @@ def _shuffled(base: list[int], lanes: _ShuffleLanes, seed: int) -> list[int]:
 
 def random_tree(s: DegreeSequence, seed: int) -> LabeledTree:
     """Uniform sample over all labeled trees with degree sequence ``s``: the
-    decode of the symbol multiset shuffled by :func:`_shuffled` from
-    ``seed``, since a uniform arrangement of the multiset is a uniform
-    labeled tree.
+    symbol multiset shuffled by :func:`_shuffled` from ``seed`` (a uniform
+    arrangement is a uniform labeled tree), decoded as the scan decodes.
 
     The swaps' SplitMix64 outputs are mixed together, one 128-bit lane of a
     single int per draw (:class:`_ShuffleLanes`).  A draw can be rejected
@@ -461,9 +438,8 @@ def random_tree(s: DegreeSequence, seed: int) -> LabeledTree:
     replays on the scalar :class:`_SplitMix64` stream.  So a seed gives the
     arrangement of one scalar bounded draw per swap, as it always has.
     """
-    sym = _symbol_multiset(s)
-    code = _shuffled(sym, _ShuffleLanes(len(sym)), seed)
-    return LabeledTree(s.n, _decode_edges(code, s.n))
+    code = _shuffled(_symbol_multiset(s), _ShuffleLanes(s.n - 2), seed)
+    return LabeledTree(s.n, _column_edges(code, _code_nu(code, [0, *s.degrees])[1]))
 
 
 def random_degree_sequence(n: int, seed: int) -> DegreeSequence:

@@ -1,10 +1,11 @@
 """Labeled trees with exact matching, nullity and rank.
 
-Vertices are labeled 1..n.  Every tree is validated on construction, and
-one rule, :func:`_is_label`, decides what a label is: an int in 1..n, and
-no bool.  Anything else, as an edge end, a vertex argument or a Prüfer
-symbol, raises :class:`LabelOutOfRange`.  A :class:`Matching` is tied to no
-tree, so it refuses only ends that are no int or a bool;
+Vertices are labeled 1..n.  Every tree is validated on construction.  A
+label is an int in 1..n; anything else raises :class:`LabelOutOfRange`, but
+a tree's edge list applies the exact type test of :func:`_is_label` only at
+label 1, so it refuses a bool yet keeps an int subclass (an IntEnum member)
+elsewhere.  A vertex argument and a :class:`Matching` end take the exact
+test.  A matching is tied to no tree, so its ends get no range test;
 :meth:`Matching.is_valid_in` tests the range.  Every operation is pure and
 exact.  The matching comes from one rule, children first along the BFS from
 n kept at construction: match a vertex to its parent when both are free.  A

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from treenullity import DegreeSequence, LabeledTree, count_trees, prufer_decode
-from treenullity.oracle import _code_nu, _codes, _decode_edges
+from treenullity import DegreeSequence, LabeledTree, count_trees
+from treenullity.oracle import _code_nu, _codes, _column_edges
+from treenullity.treegraph import Edge
 
 
 @st.composite
@@ -21,8 +22,38 @@ def prufer_codes(draw, min_n: int = 2, max_n: int = 12):
     return tuple(code), n
 
 
+def prufer_decode(code, n: int) -> LabeledTree:
+    """The tree on 1..n with Prüfer code ``code``, by the textbook decode:
+    a heap of the current leaves, each symbol in turn joined to the
+    smallest of them, and the last two leaves, one of which is n, joined.
+    It shares no code with the library's decode (:func:`library_decode`)."""
+    deg = [1] * (n + 1)
+    for x in code:
+        deg[x] += 1
+    heap = [v for v in range(1, n + 1) if deg[v] == 1]
+    heapq.heapify(heap)
+    edges = []
+    for x in code:
+        edges.append((heapq.heappop(heap), x))
+        deg[x] -= 1
+        if deg[x] == 1:
+            heapq.heappush(heap, x)
+    edges.append((heapq.heappop(heap), n))
+    return LabeledTree(n, edges)
+
+
+def library_decode(code, n: int) -> list[Edge]:
+    """The library's decode of ``code``, edges in walk order: the leaf
+    column of ``_code_nu`` read by ``_column_edges``, as the conjecture
+    scan and ``random_tree`` read it."""
+    deg = [1] * (n + 1)
+    for x in code:
+        deg[x] += 1
+    return _column_edges(code, _code_nu(code, deg)[1])
+
+
 def prufer_encode(tree: LabeledTree) -> tuple[int, ...]:
-    """Inverse of ``prufer_decode``, by the textbook elimination over
+    """Inverse of :func:`prufer_decode`, by the textbook elimination over
     ``tree.edges`` alone: n - 2 times, remove the smallest leaf and write
     down its neighbour.  It shares no code with the library's decode."""
     adj: list[set[int]] = [set() for _ in range(tree.n + 1)]
@@ -47,7 +78,7 @@ def enumerate_trees(s: DegreeSequence, visitor) -> int:
     order of its Prüfer code, and return how many there were."""
     total = count_trees(s)
     for code in _codes(s, 0, total):
-        visitor(LabeledTree(s.n, _decode_edges(code, s.n)))
+        visitor(prufer_decode(code, s.n))
     return total
 
 
@@ -126,14 +157,37 @@ def distance(tree: LabeledTree, u: int, v: int) -> int:
     return d
 
 
+def matching_number(tree: LabeledTree) -> int:
+    """Matching number by the two-state tree DP over ``tree.edges`` alone,
+    rooted at 1: ``free[v]`` is the largest matching of v's subtree that
+    leaves v unmatched, ``best[v]`` the largest one.  It takes no greedy
+    step, so it shares no rule with the library's walks."""
+    adj: list[list[int]] = [[] for _ in range(tree.n + 1)]
+    for a, b in tree.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = [0] * (tree.n + 1)
+    order = [1]
+    for v in order:  # the list grows as it is read: a BFS from 1
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    free = [0] * (tree.n + 1)
+    best = [0] * (tree.n + 1)
+    for v in reversed(order):
+        kids = [w for w in adj[v] if w != parent[v]]
+        free[v] = sum(best[w] for w in kids)
+        best[v] = max([free[v]] + [free[v] - best[w] + free[w] + 1 for w in kids])
+    return best[1]
+
+
 def slow_matching_histogram(s: DegreeSequence) -> dict[int, int]:
-    """Histogram of matching numbers via the public enumeration API and
-    ``LabeledTree.maximum_matching``.  That applies the same rule as the
-    fused loop (children first, a vertex to its parent when both are free,
-    exact on trees because a free vertex's edge is pendant), but walks each
-    built tree along its kept BFS, not the code being decoded."""
+    """Histogram of matching numbers over every tree of ``s``, each decoded
+    by :func:`prufer_decode` and measured by :func:`matching_number`, so it
+    shares neither the decode nor the greedy rule with the counting DP."""
     hist: Counter[int] = Counter()
-    enumerate_trees(s, lambda t: hist.update([t.maximum_matching().size]))
+    enumerate_trees(s, lambda t: hist.update([matching_number(t)]))
     return dict(hist)
 
 

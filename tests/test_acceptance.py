@@ -26,11 +26,15 @@ from conftest import (
     degrees,
     distance,
     enumerate_trees,
+    library_decode,
+    matching_number,
     neighbours,
+    prufer_decode,
     prufer_encode,
 )
 from treenullity import (
     DegreeSequence,
+    LabeledTree,
     bounds,
     build_max,
     build_min,
@@ -39,7 +43,6 @@ from treenullity import (
     internal_leaf_adjacency_violations,
     literal_characterization,
     parse_sequence,
-    prufer_decode,
     spectrum,
     tree_degree_sequences,
     verify_certificate,
@@ -258,7 +261,7 @@ def test_c4_rank_cross_check():
         n = rng.randint(2, 16)
         code = tuple(rng.randint(1, n) for _ in range(n - 2))
         tree = prufer_decode(code, n)
-        assert tree.adjacency_rank_exact() == 2 * tree.maximum_matching().size
+        assert tree.adjacency_rank_exact() == 2 * matching_number(tree)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(4, "rank cross-check on 1000 random trees", extra=f"{elapsed:.2f}s")
@@ -399,7 +402,7 @@ def _literal_clause_search(s: DegreeSequence) -> tuple[int, int]:
     counts = [0, 0]
 
     def visit(tree):
-        if tree.maximum_matching().size != nu_min:
+        if matching_number(tree) != nu_min:
             return
         for v_k in _connector_candidates(tree, s):
             counts[0] += 1
@@ -522,18 +525,18 @@ def test_c8_conjecture_interval(sweep):
 
 
 def test_c9_property_suites(sweep):
-    # Prüfer round trip, exhaustive for n <= 7.
+    # Prüfer round trip through the library's decode, exhaustive for n <= 7.
     checked = 0
     for n in range(2, 8):
         for code in itertools.product(range(1, n + 1), repeat=n - 2):
-            assert prufer_encode(prufer_decode(code, n)) == code
+            assert prufer_encode(LabeledTree(n, library_decode(code, n))) == code
             checked += 1
     # ... and 10,000 random larger codes.
     rng = random.Random(0x909)
     for _ in range(10_000):
         n = rng.randint(8, 20)
         code = tuple(rng.randint(1, n) for _ in range(n - 2))
-        assert prufer_encode(prufer_decode(code, n)) == code
+        assert prufer_encode(LabeledTree(n, library_decode(code, n))) == code
 
     # Spectrum totals and parity over the exhaustive sweep.
     for s, sp in sweep.spectra.items():
@@ -558,4 +561,4 @@ def test_c9_property_suites(sweep):
 
 
 def _assert_alpha(tree, a):
-    assert tree.n - tree.maximum_matching().size <= a  # the independence number
+    assert tree.n - matching_number(tree) <= a  # the independence number

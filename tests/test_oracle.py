@@ -20,6 +20,9 @@ from conftest import (
     degrees,
     enumerate_trees,
     labeled_trees,
+    library_decode,
+    matching_number,
+    prufer_decode,
     prufer_encode,
     slow_matching_histogram,
 )
@@ -27,13 +30,11 @@ from treenullity import (
     ConstructionInvariantViolated,
     DegreeSequence,
     EnumerationCapExceeded,
-    LabelOutOfRange,
     LabeledTree,
     bounds,
     conjecture_scan,
     count_trees,
     parse_sequence,
-    prufer_decode,
     random_tree,
     spectrum,
     tree_degree_sequences,
@@ -42,7 +43,6 @@ from treenullity import cli, oracle
 from treenullity.oracle import (
     _code_nu,
     _count_within,
-    _decode_edges,
     _matching_counts,
     _next_permutation,
     _partition,
@@ -72,24 +72,26 @@ class TestPrufer:
         t = prufer_decode((2,), 3)
         assert prufer_encode(t) == (2,)
 
-    def test_bad_symbol(self):
-        with pytest.raises(LabelOutOfRange):
-            prufer_decode((4,), 3)
-        with pytest.raises(LabelOutOfRange):
-            prufer_decode((1, 2), 3)
-
     def test_exhaustive_round_trip_small(self):
+        # All 18,248 codes with n <= 7: the library's decode is the tests'
+        # textbook decode, and the independent encoder takes it back.
+        count = 0
         for n in range(2, 8):
             for code in itertools.product(range(1, n + 1), repeat=n - 2):
-                assert prufer_encode(prufer_decode(code, n)) == code
+                edges = sorted(library_decode(code, n))
+                assert tuple(edges) == prufer_decode(code, n).edges, code
+                assert prufer_encode(LabeledTree(n, edges)) == code
+                count += 1
+        assert count == 18_248
 
     def test_matching_is_the_greedy_along_the_decode(self):
         # maximum_matching walks the tree's kept BFS; _code_nu and the greedy
-        # below walk the code.  One rule in two orders gives one size.
+        # below walk the code, along the decode's edges in walk order.  One
+        # rule in two orders gives one size, and the DP, with no rule, agrees.
         for n in range(2, 8):
             for code in itertools.product(range(1, n + 1), repeat=n - 2):
                 covered, greedy = set(), []
-                for u, v in _decode_edges(code, n):
+                for u, v in library_decode(code, n):
                     if u not in covered and v not in covered:
                         covered |= {u, v}
                         greedy.append((u, v))
@@ -98,6 +100,7 @@ class TestPrufer:
                 deg = degrees(t)
                 assert m.is_valid_in(t), code
                 assert m.size == _code_nu(code, deg)[0] == len(greedy), code
+                assert m.size == matching_number(t), code
 
     def test_degrees_match_symbol_counts(self):
         code = (7, 3, 3, 9, 1, 7, 7)
@@ -319,7 +322,7 @@ class TestChunkedKernel:
                 first: dict[int, tuple] = {}
 
                 def visit(t):
-                    first.setdefault(t.maximum_matching().size, t.edges)
+                    first.setdefault(matching_number(t), t.edges)
 
                 enumerate_trees(s, visit)
                 scan = conjecture_scan(s)
@@ -355,6 +358,26 @@ class TestRandomTree:
         hits = Counter(random_tree(s, seed).edges for seed in range(600))
         assert len(hits) == 3
         assert all(150 < c < 250 for c in hits.values())
+
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (2, 0, "cb5ce413a98488b213b8393b52ba6f6ac3fa9c033485033c0d033a84df68def9"),
+            (3, 1, "f4a637f68ad1e8ac804b9382cccadbb2ff31dc8f62d5172538c37c47268916e1"),
+            (60, 0, "cc6de25804f1543ef708bf537ef414ea535aedb47aabefaa84fccd3c8d52b90e"),
+            (60, -1, "2dee20a4eff1f3508dda3646c8dd53f9f71e7a469221367c831938c2aec559ab"),
+            (3000, 3, "9a2ea58942eb800d59255a8c8f7de6a213ece403cbcdcb396f672a7a0e5b2c4e"),
+            (3000, 2**64 + 5, "4ee76dc360e3f2ad637866a0fb253b7d8ba33761ae833440dd236a5beb28c58e"),
+        ],
+    )
+    def test_is_the_textbook_decode_of_the_shuffle(self, n, seed, digest):
+        # The sample is the tests' own decode of the seeded shuffle, and the
+        # sha256 of repr(edges) pins its edges bit for bit.
+        s = random_degree_sequence(n, seed=n)
+        base = _symbol_multiset(s)
+        tree = random_tree(s, seed)
+        assert tree == prufer_decode(_shuffled(base, _ShuffleLanes(len(base)), seed), n)
+        assert hashlib.sha256(repr(tree.edges).encode()).hexdigest() == digest
 
     def test_random_degree_sequence_valid(self):
         for n in (2, 3, 10, 100):
@@ -514,7 +537,7 @@ class TestConjectureScan:
         assert scan.complete
         for nu, edges in scan.witnesses.items():
             witness = LabeledTree(6, edges)
-            assert witness.maximum_matching().size == nu
+            assert matching_number(witness) == nu
             assert witness.degree_multiset() == s
 
     def test_star(self):

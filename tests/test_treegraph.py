@@ -1,6 +1,7 @@
 """Labeled-tree structure, matching, nullity, rank and serialization."""
 
 import collections
+import enum
 import itertools
 import operator
 import random
@@ -17,6 +18,7 @@ from conftest import (
     fraction_rank,
     labeled_trees,
     neighbours,
+    prufer_decode,
     prufer_encode,
 )
 from treenullity import (
@@ -28,7 +30,6 @@ from treenullity import (
     WrongEdgeCount,
     bounds,
     parse_edge_list,
-    prufer_decode,
     random_degree_sequence,
     random_tree,
 )
@@ -153,7 +154,6 @@ class TestLabelRule:
         entry_points = [
             lambda: LabeledTree(3, [(1, x), (x, 3)]),
             lambda: t.distance(1, x),
-            lambda: prufer_decode((x,), 3),
         ]
         for call in entry_points:
             if ok:
@@ -167,11 +167,22 @@ class TestLabelRule:
             with pytest.raises(LabelOutOfRange):
                 Matching(((1, x),))
 
+    def test_int_subclass_is_a_tree_label_off_label_1(self):
+        # The exact type test reaches only the edges at label 1 of a tree;
+        # distance() and Matching test every label exactly.
+        E = enum.IntEnum("E", [("ONE", 1), ("THREE", 3)])
+        t = LabeledTree(4, [(1, 2), (2, E.THREE), (E.THREE, 4)])
+        assert t.edges == ((1, 2), (2, 3), (3, 4)) and type(t.edges[1][1]) is E
+        with pytest.raises(LabelOutOfRange):
+            LabeledTree(4, [(E.ONE, 2), (2, 3), (3, 4)])
+        with pytest.raises(LabelOutOfRange):
+            t.distance(E.THREE, 1)
+        with pytest.raises(LabelOutOfRange):
+            Matching(((2, E.THREE),))
+
     def test_vertex_count_not_an_int(self):
         with pytest.raises(LabelOutOfRange):
             LabeledTree(3.0, [(1, 2), (2, 3)])
-        with pytest.raises(LabelOutOfRange):
-            prufer_decode((2,), 3.0)
 
 
 class TestDegreeMultiset:
