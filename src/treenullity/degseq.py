@@ -17,7 +17,16 @@ from itertools import accumulate
 
 from .errors import InvalidDegree, NotTreeSum, ParseError, TooSmall
 
-_TOKEN_SPLIT = re.compile(r"[\s,]+")
+_TOKEN = re.compile(r"[^\s,]+")
+
+
+def _check_int_tokens(text: str) -> None:
+    """ParseError on the first token that is no [+-]?[0-9]+, in a text that can
+    hide one from int(): one with _ or a non-ASCII character, as 1_1 or ١."""
+    if not text.isascii() or "_" in text:
+        for t in _TOKEN.findall(text):
+            if not re.fullmatch(r"[+-]?[0-9]+", t):
+                raise ParseError(f"not an integer: {t!r}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,7 @@ class BoundsReport:
     nu_max / nullity_min / alpha_min come from the leaf-count formulas,
     nu_min / nullity_max / alpha_max from the annihilation number:
 
-        nu_max      = n - l              if l >= ceil(n/2), else floor(n/2)
+        nu_max      = min(n - l, floor(n/2)), and 1 for the single edge
         nullity_min = n - 2 * nu_max
         alpha_min   = n - nu_max
         nu_min      = n - a
@@ -90,14 +99,14 @@ class BoundsReport:
 
 
 def parse_sequence(text: str) -> DegreeSequence:
-    """Parse comma- and/or whitespace-separated integers, in any order.
+    """Parse comma- and/or whitespace-separated integers ([+-]?[0-9]+), in any order.
 
     The result is canonicalized (sorted), so any permutation of the same
     multiset parses to an identical sequence.
     """
-    tokens = [t for t in _TOKEN_SPLIT.split(text.strip()) if t]
+    _check_int_tokens(text)
     degrees = []
-    for t in tokens:
+    for t in _TOKEN.findall(text):
         try:
             degrees.append(int(t, 10))
         except ValueError:
@@ -111,20 +120,14 @@ def bounds(s: DegreeSequence) -> BoundsReport:
 
     a is the largest index (1-based) such that the sum of the a smallest
     degrees is at most m.  n = 2 is the one degenerate case: the single edge
-    has nu = 1 and nullity 0, which the leaf-count branch formula would miss.
+    has nu = 1 and nullity 0, which min(n - l, floor(n/2)) = 0 would miss.
     """
     n = s.n
     l, m = s.degrees.count(1), n - 1
     # The degrees are sorted and positive, so the prefix sums increase.
     a = bisect_right(list(accumulate(s.degrees)), m)
 
-    if n == 2:
-        nu_max = 1
-    elif l >= (n + 1) // 2:
-        nu_max = n - l
-    else:
-        nu_max = n // 2
-
+    nu_max = 1 if n == 2 else min(n - l, n // 2)
     nu_min = n - a
     return BoundsReport(
         n=n,

@@ -32,7 +32,7 @@ on-path exceptions for inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import not_
 
 from .degseq import DegreeSequence, bounds
@@ -154,36 +154,25 @@ def build_min(s: DegreeSequence) -> MinCertificate:
     b = bounds(s)
     l = b.l
 
-    k = n - (d[n] - 1)
-    edges: list[Edge] = [(1, n)]
-    edges.extend((j, n) for j in range(n - 1, k - 1, -1))
-
-    leafy = (n - l) <= n // 2
-    pair_count = (n - l) if leafy else l
-    for i in range(2, pair_count + 1):
-        v = n - i + 1
-        pool = [k - 1 - x for x in range(d[v] - 2)]
-        edges.append((i, v))
-        edges.extend((p, v) for p in pool)
-        k -= d[v] - 2
+    leafy = l >= (n + 1) // 2
+    pair_count = b.nu_max if leafy else l
+    pairs = [(i, n - i + 1) for i in range(1, pair_count + 1)]  # hub first
+    edges: list[Edge] = list(pairs)  # v_{n-i+1} takes its private leaf v_i
+    fresh = iter(range(n - 1, 0, -1))
+    for _, v in pairs:  # the hub has no parent edge, so it takes one more
+        edges.extend((p, v) for p in islice(fresh, d[v] - (1 if v == n else 2)))
 
     if leafy:
-        matching = Matching(tuple((i, n - i + 1) for i in range(1, b.nu_max + 1)))
         block: tuple[int, ...] = ()
         branch = BRANCH_MANY_LEAVES
     else:
-        # Tree-sum arithmetic forces all middle degrees to be 2 here.
-        _require(
-            all(d[j] == 2 for j in range(l + 1, n - l + 1)),
-            "path block expects degree 2 throughout",
-        )
+        # Tree-sum arithmetic forces all middle degrees to be 2; _proved_tree checks it.
         block = tuple(range(l + 1, n - l + 1))
-        edges.extend((block[t], block[t + 1]) for t in range(len(block) - 1))
+        edges.extend(zip(block, block[1:]))
         edges.append((1, l + 1))
-        pairs = [(i, n - i + 1) for i in range(1, l + 1)]
-        pairs.extend((block[2 * t], block[2 * t + 1]) for t in range(len(block) // 2))
-        matching = Matching(tuple(pairs))
+        pairs.extend(zip(block[::2], block[1::2]))
         branch = BRANCH_FEW_LEAVES
+    matching = Matching(tuple(pairs))
 
     tree = _proved_tree(s, edges, matching, b.nu_max, "build_min")
     return MinCertificate(
@@ -260,19 +249,17 @@ def build_max(s: DegreeSequence) -> MaxCertificate:
 
     v_k, p_k = tuple(path[::2]), tuple(path)
     omega = len(v_k)
-    if omega == 0:
+    m_k = Matching(tuple(zip(p_k[::2], p_k[1::2])))
+    if omega == 0:  # a star: V_J is empty, and M_s is the hub's edge to 1
         v_mk: int | None = None
         l_mk = 0
-        m_k = Matching(())
         m_j = Matching(())
-        m_s = Matching(((1, n),))
     else:
         # The last round broke off, so its unserved frontier is v_mk's leaves.
         v_mk, l_mk = path[-1], len(frontier) - len(served)
-        m_k = Matching(tuple(zip(p_k[::2], p_k[1::2])))
         m_j = Matching(tuple(m_j_edges))
-        extra = ((frontier[-1], v_mk),) if l_mk > 0 else ()
-        m_s = Matching(m_k.edges + m_j.edges + extra)
+    extra = ((frontier[-1], v_mk),) if l_mk > 0 else ()
+    m_s = Matching(m_k.edges + tuple(m_j_edges) + extra)
 
     tree = _proved_tree(s, edges, m_s, n - a, "build_max")
     return MaxCertificate(

@@ -4,8 +4,9 @@ Vertices are labeled 1..n.  Every tree is validated on construction.  A
 label is an int in 1..n; anything else raises :class:`LabelOutOfRange`, but
 a tree's edge list applies the exact type test of :func:`_is_label` only at
 label 1, so it refuses a bool yet keeps an int subclass (an IntEnum member)
-elsewhere.  A vertex argument and a :class:`Matching` end take the exact
-test.  A matching is tied to no tree, so its ends get no range test;
+elsewhere; edges that are not n - 1 make no tree and take it at every label,
+and a vertex count, a vertex argument and a :class:`Matching` end take it too.
+A matching is tied to no tree, so its ends get no range test;
 :meth:`Matching.is_valid_in` tests the range.  Every operation is pure and
 exact.  The matching comes from one rule, children first along the BFS from
 n kept at construction: match a vertex to its parent when both are free.  A
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
-from .degseq import DegreeSequence
+from .degseq import DegreeSequence, _check_int_tokens
 from .errors import (
     LabelOutOfRange,
     LoopOrDuplicate,
@@ -115,22 +116,28 @@ class LabeledTree:
     __slots__ = ("n", "edges", "_adj", "_order", "_parent")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        if not isinstance(n, int):
+        if type(n) is not int:  # the exact type test of _is_label
             raise LabelOutOfRange(f"vertex count must be an int, got {n!r}")
         object.__setattr__(self, "n", n)
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
         # This is _is_label at almost no cost per edge: a label that is no int
         # fails in the sort or as a list index, and an edge that is no pair
         # unpacking.  A bool passes the range check only as 1, and the edges
         # at 1 lead canon (u <= v), so only they take the exact type test.
         try:
             canon = _canonical(edges)
-            for u, v in canon:
-                if not (1 <= u <= v <= n):
-                    raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
-                adj[u].append(v)
-                adj[v].append(u)
-            ints = _ints(chain.from_iterable(canon[: len(adj[1]) if canon else 0]))
+            if len(canon) == n - 1:
+                adj: list[list[int]] = [[] for _ in range(n + 1)]
+                for u, v in canon:
+                    if not (1 <= u <= v <= n):
+                        raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
+                    adj[u].append(v)
+                    adj[v].append(u)
+            else:  # no tree, so no n + 1 lists, and every label takes the exact test
+                adj = []
+                for u, v in canon:
+                    if not (1 <= u <= v <= n):
+                        raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
+            ints = _ints(chain.from_iterable(canon[: len(adj[1]) if adj else None]))
         except (TypeError, ValueError):
             ints = False
         if not ints:
@@ -299,6 +306,7 @@ def parse_edge_list(text: str) -> LabeledTree:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty edge-list input")
+    _check_int_tokens(text)
     try:
         n = int(lines[0])
     except ValueError:

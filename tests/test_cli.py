@@ -44,6 +44,16 @@ class TestValidate:
         code, out, _ = invoke(capsys, "validate", "1,1", "--format", "table")
         assert code == 0 and "valid" in out
 
+    @pytest.mark.parametrize("command", ["validate", "bounds", "verify", "spectrum"])
+    @pytest.mark.parametrize(
+        "text, bad", [("1_1,1", "1_1"), ("\u0661,\u0661", "\u0661"), ("1,\uff11", "\uff11")]
+    )
+    def test_non_ascii_integer_token_exit_1(self, capsys, command, text, bad):
+        # int() alone reads 1_1 as 11 and these digits as 1.
+        code, out, err = invoke(capsys, command, text)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ParseError", "message": f"not an integer: {bad!r}"}
+
 
 class TestBounds:
     def test_figure_sequence(self, capsys):

@@ -55,6 +55,36 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_sequence("1,two,3")
 
+    @pytest.mark.parametrize(
+        "text, bad",
+        [
+            ("1_1,1", "1_1"),  # int() reads 11
+            ("\u0661,\u0661", "\u0661"),  # ARABIC-INDIC DIGIT ONE, read as 1
+            ("\uff11,1", "\uff11"),  # FULLWIDTH DIGIT ONE
+            ("1,1\u0661", "1\u0661"),
+            ("2,1,1_", "1_"),
+            ("abc,1_1", "abc"),  # the first bad token is named
+            ("1_1,abc", "1_1"),
+            ("1,+-1", "+-1"),
+        ],
+    )
+    def test_tokens_are_ascii_integers(self, text, bad):
+        with pytest.raises(ParseError) as info:
+            parse_sequence(text)
+        assert str(info.value) == f"not an integer: {bad!r}"
+
+    @pytest.mark.parametrize(
+        "text, degrees",
+        [("+1,+1", (1, 1)), ("01, 1", (1, 1)), ("1\u00a01", (1, 1)), ("1\u20031,\n", (1, 1))],
+    )
+    def test_signs_zeros_and_unicode_separators(self, text, degrees):
+        # Unicode whitespace still separates; only the tokens must be ASCII.
+        assert parse_sequence(text).degrees == degrees
+
+    def test_too_many_digits_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_sequence("1," + "1" * 5000)
+
     def test_rejects_sum_short_by_two(self):
         # Six entries summing to 8; a tree on 6 vertices needs degree sum 10.
         with pytest.raises(NotTreeSum):

@@ -252,6 +252,28 @@ class TestVerify:
         entry = _check(report, "rank-cross-check")
         assert entry.passed and "skipped" in entry.detail
 
+    @pytest.mark.parametrize("build", [build_min, build_max])
+    def test_rank_check_runs_at_the_limit(self, build):
+        # n = 11: a limit of n runs the exact rank, a limit of n - 1 skips it.
+        cert = build(FIG_1A)
+        entry = _check(verify_certificate(cert, FIG_1A, rank_limit=11), "rank-cross-check")
+        nu = cert.matching.size if build is build_min else cert.m_s.size
+        assert entry.passed and entry.detail == f"rank {2 * nu} vs 2 nu = {2 * nu}"
+        entry = _check(verify_certificate(cert, FIG_1A, rank_limit=10), "rank-cross-check")
+        assert entry.detail == "skipped (n = 11 > limit 10)"
+
+    def test_omega_above_the_annihilation_window(self):
+        # FIG_2B has a - l = 1 and l_mk = 2 > 0, so omega = a - l + 1 = 2.
+        # omega = 3 keeps (omega == a - l) == (l_mk == 0) true; only the
+        # upper bound of the window and the counts tied to omega fail.
+        cert = build_max(FIG_2B)
+        b = bounds(FIG_2B)
+        assert cert.l_mk == 2 and cert.omega == b.a - b.l + 1 == 2
+        report = verify_certificate(dataclasses.replace(cert, omega=b.a - b.l + 2), FIG_2B)
+        assert {c.name for c in report.failures()} == {
+            "omega-counts-v_k", "omega-annihilation-bounds", "p_k-path", "m_k-on-path",
+        }
+
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
     def test_consecutive_distance_2(self, d):
         # V_K is replaced by each pair of vertices at distance d, so siblings
@@ -335,6 +357,35 @@ class TestVerify:
             # No consecutive pair is a tree edge, although both M_K edges
             # join two P_K vertices that are adjacent in the tree.
             ("max", OMEGA_3, {"p_k": (4, 6, 8, 12, 11)}, {"p_k-path", "m_k-on-path"}),
+            # Each forgery below breaks one clause of p_k-path and keeps the
+            # others.  A repeated vertex: the walk 6-11-8-10-8 over the forged
+            # V_K (6, 8, 10) has the right length, ends and steps.
+            (
+                "max",
+                OMEGA_3,
+                {"v_k": (6, 8, 10), "p_k": (6, 11, 8, 10, 8)},
+                {"p_k-path", "m_k-on-path", "matching-m_j-valid",
+                 "v_k-consecutive-distance-2", "v_k-pairwise-even-distance",
+                 "internal-off-path-leaf-adjacency"},
+            ),
+            # A V_K member off P_K: the leaf 5 takes the place of 6.
+            (
+                "max",
+                OMEGA_3,
+                {"v_k": (4, 5, 8)},
+                {"p_k-path", "v_k-internal-increasing", "v_k-consecutive-distance-2",
+                 "internal-edge-identity"},
+            ),
+            # A non-edge step, 4-11, between the right ends.
+            (
+                "max",
+                OMEGA_3,
+                {"p_k": (6, 12, 4, 11, 8)},
+                {"p_k-path", "m_k-on-path", "v_k-consecutive-distance-2"},
+            ),
+            # P_K walked toward n, each step from a child to its BFS parent,
+            # to the connector 4 named as v_mk (both ends have no leaf).
+            ("max", OMEGA_3, {"p_k": (8, 11, 6, 12, 4), "v_mk": 4}, set()),
         ],
     )
     def test_reordered_path_block_and_p_k(self, kind, s, forged, failing):

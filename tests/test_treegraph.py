@@ -26,6 +26,7 @@ from treenullity import (
     LabeledTree,
     LoopOrDuplicate,
     NotConnected,
+    ParseError,
     SizeLimitExceeded,
     WrongEdgeCount,
     bounds,
@@ -86,6 +87,17 @@ class TestConstruction:
         with pytest.raises(NotConnected, match="only 3 of 5"):
             LabeledTree(5, [(1, 2), (2, 3), (3, 1), (4, 5)])
 
+    def test_huge_declared_n_is_rejected_at_once(self):
+        # 10^12 adjacency lists could never be allocated: a wrong edge count
+        # is rejected before any are.
+        start = time.perf_counter()
+        for _ in range(100):
+            with pytest.raises(WrongEdgeCount):
+                parse_edge_list("1000000000000\n1 2\n")
+            with pytest.raises(WrongEdgeCount):
+                LabeledTree(10**12, [])
+        assert time.perf_counter() - start < 1.0
+
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             LabeledTree(3, [(1, 2), (2, 4)])
@@ -98,6 +110,11 @@ class TestConstruction:
             (2, [(1, 1)], LoopOrDuplicate),  # one edge, the right count, but a loop
             (3, [(1, 2), (1, 2)], LoopOrDuplicate),  # n - 1 edges, a repeat, disconnected
             (4, [(1, 2), (2, 1), (3, 4)], LoopOrDuplicate),  # a repeat in either orientation
+            # A wrong count builds no adjacency, so a huge n changes no verdict.
+            (10**12, [(1, 1), (2, 10**13)], LabelOutOfRange),
+            (10**12, [(1, 2), (2, 1)], LoopOrDuplicate),
+            (10**12, [(1, 2), (2, 3)], WrongEdgeCount),
+            (3, [(1, 2), (2, 2.5)], LabelOutOfRange),
         ],
     )
     def test_error_precedence(self, n, edges, error):
@@ -183,6 +200,19 @@ class TestLabelRule:
     def test_vertex_count_not_an_int(self):
         with pytest.raises(LabelOutOfRange):
             LabeledTree(3.0, [(1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("n, edges", [(True, []), (False, []), (True, [(1, 1)])])
+    def test_vertex_count_is_no_bool(self, n, edges):
+        with pytest.raises(LabelOutOfRange, match="vertex count"):
+            LabeledTree(n, edges)
+
+    def test_int_subclass_is_no_label_of_a_wrong_count(self):
+        # Edges that cannot make a tree take the exact test at every label.
+        E = enum.IntEnum("E", [("THREE", 3)])
+        with pytest.raises(LabelOutOfRange):
+            LabeledTree(4, [(1, 2), (2, E.THREE)])
+        with pytest.raises(WrongEdgeCount):
+            LabeledTree(4, [(1, 2), (2, 3)])
 
 
 class TestDegreeMultiset:
@@ -439,6 +469,21 @@ class TestSerialization:
 
     def test_edge_list_format(self):
         assert path(3).to_edge_list() == "3\n1 2\n2 3\n"
+
+    @pytest.mark.parametrize(
+        "text, bad",
+        [
+            ("2\n1 2_0\n", "2_0"),  # int() reads 20
+            ("1_0\n1 2\n", "1_0"),
+            ("2\n1 \uff12\n", "\uff12"),  # FULLWIDTH DIGIT TWO, read as 2
+            ("\u0662\n1 2\n", "\u0662"),  # ARABIC-INDIC DIGIT TWO
+        ],
+    )
+    def test_edge_list_tokens_are_ascii_integers(self, text, bad):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == f"not an integer: {bad!r}"
+        assert parse_edge_list("2\n+1 02\n") == path(2)
 
     def test_dot_stable(self):
         assert star(4).to_dot() == "graph {\n  v1 -- v4;\n  v2 -- v4;\n  v3 -- v4;\n}\n"
