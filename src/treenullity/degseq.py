@@ -14,6 +14,7 @@ import re
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import accumulate
+from typing import Iterable
 
 from .errors import InvalidDegree, NotTreeSum, ParseError, TooSmall
 
@@ -29,6 +30,12 @@ def _check_int_tokens(text: str) -> None:
                 raise ParseError(f"not an integer: {t!r}")
 
 
+def _ints(values: Iterable) -> bool:
+    """The exact type test of the label rule on every value, at C speed: a
+    bool or another int subclass fails it."""
+    return {int}.issuperset(map(type, values))
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
     """Canonical (nondecreasing) tree degree sequence on n >= 2 vertices."""
@@ -36,8 +43,8 @@ class DegreeSequence:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # No per-degree type check: a str fails in the sort or the sum, and
-        # a float, Fraction or Decimal entry makes the sum no int.
+        # A str fails in the sort or the sum; anything else that is no
+        # exact int, a bool included, fails the type test of labels.
         try:
             canon = tuple(sorted(self.degrees))
             total = sum(canon)
@@ -47,7 +54,7 @@ class DegreeSequence:
         n = len(canon)
         if n < 2:
             raise TooSmall(f"need at least 2 degrees, got {n}")
-        if not isinstance(total, int):
+        if not _ints(canon):
             raise InvalidDegree("degrees must be integers")
         if canon[0] < 1:
             raise InvalidDegree(f"degree {canon[0]} < 1")

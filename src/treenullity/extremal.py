@@ -32,19 +32,12 @@ on-path exceptions for inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import not_
 
-from .degseq import DegreeSequence, bounds
+from .degseq import DegreeSequence, _ints, bounds
 from .errors import ConstructionInvariantViolated, InputError
-from .treegraph import (
-    DEFAULT_RANK_LIMIT,
-    Edge,
-    LabeledTree,
-    Matching,
-    _ints,
-    _is_label,
-)
+from .treegraph import DEFAULT_RANK_LIMIT, Edge, LabeledTree, Matching, _is_label
 
 BRANCH_MANY_LEAVES = "l_ge_half"  # l >= ceil(n/2): every internal vertex pairs with a leaf
 BRANCH_FEW_LEAVES = "l_lt_half"  # l < ceil(n/2): a path block absorbs the surplus
@@ -120,7 +113,7 @@ def _proved_tree(
     except InputError as exc:
         raise ConstructionInvariantViolated(f"{what}: bad edge set ({exc})") from exc
     _require(
-        tuple(sorted(map(len, tree._adj[1:]))) == s.degrees,
+        tuple(sorted(tree._deg[1:])) == s.degrees,
         f"{what}: degree multiset mismatch",
     )
     _require(m.is_valid_in(tree), f"{what}: the witness is not a matching")
@@ -322,19 +315,19 @@ def internal_leaf_adjacency_violations(
     ``(tree, v_k)`` pair it is simply every leafless internal vertex
     outside ``v_k``, wherever it lies.
 
-    One pass over the adjacency lists marks each leaf's neighbour in a
-    ``bytearray``, and one more filters the vertices; no set of pairs over
-    the tree is built.
+    Each leaf's neighbour is marked in a ``bytearray``: its parent, or
+    n's one child when n is the leaf; one more pass filters the vertices,
+    and no set of pairs over the tree is built.
     """
-    adj = tree._adj
-    near_leaf = bytearray(len(adj))
-    for nbrs in adj:
-        if len(nbrs) == 1:
-            near_leaf[nbrs[0]] = 1
+    deg, parent, n = tree._deg, tree._parent, tree.n
+    near_leaf = bytearray(n + 1)
+    for p in compress(parent, map((1).__eq__, deg)):  # n's parent 0 is no vertex
+        near_leaf[p] = 1
+    if deg[n] == 1:
+        near_leaf[parent.index(n)] = 1
     members = set(v_k)
     return tuple(
-        v for v, nbrs in enumerate(adj)
-        if not near_leaf[v] and len(nbrs) > 1 and v not in members
+        v for v, d in enumerate(deg) if d > 1 and not near_leaf[v] and v not in members
     )
 
 
@@ -408,7 +401,7 @@ def _common_checks(
     gives the verdict on that role.  nu is |C| of :func:`_cover_nu`, and
     the checks that read it pass only when C covers."""
     checks: list[CheckResult] = []
-    degrees = tuple(sorted(map(len, tree._adj[1:])))
+    degrees = tuple(sorted(tree._deg[1:]))
     same = degrees == s.degrees
     text = str(s)  # rendered once: the tree's half is the same bytes when same
     detail = f"tree {text if same else ','.join(map(str, degrees))} vs input {text}"
@@ -456,8 +449,8 @@ def _verify_min(
         # The block must induce exactly the path of its consecutive pairs.  A
         # forest on k vertices has at most k - 1 edges, and a repeated label
         # leaves fewer than k vertices for the k - 1 pairs; so k distinct
-        # labels whose consecutive pairs are tree edges, by the kept BFS
-        # parents, induce those pairs and no other edge.
+        # labels whose consecutive pairs are tree edges, by the tree's
+        # parents towards n, induce those pairs and no other edge.
         parent = tree._parent
         is_path = (
             0 < len(block) == n - 2 * l
@@ -476,16 +469,20 @@ def _verify_max(
     b = bounds(s)
     n, l, a = s.n, b.l, b.a
     omega, v_k, v_mk, p_k = cert.omega, cert.v_k, cert.v_mk, cert.p_k
-    adj = tree._adj
+    deg, parent = tree._deg, tree._parent  # rooted at n: parent[n] = 0, parent[0] = -1
     on_path = {v: i for i, v in enumerate(p_k)}  # P_K's vertices and their places
+    # The children of V_K and of v_mk, in one pass over the parents.
+    members = set(v_k)
+    kids = list(compress(range(len(parent)), map({*v_k, v_mk}.__contains__, parent)))
     # V_J, the vertices M_J serves: the internal neighbours of V_K off P_K
-    # (none for omega = 0).  M_J gives each of them one edge to a leaf; an
-    # end is read in adj only once the edge is known to be a tree edge, as
-    # M_J may hold any int.
-    v_j = {u for v in v_k for u in adj[v] if len(adj[u]) > 1 and u not in on_path}
+    # (none for omega = 0).  M_J gives each of them one edge to a leaf.  That
+    # its edges are tree edges is matching-m_j-valid's own test, so the role
+    # needs only a leaf end, tested as a label first: M_J may hold any int.
+    near_v_k = chain((u for u in kids if parent[u] in members), map(parent.__getitem__, v_k))
+    v_j = {u for u in near_v_k if deg[u] > 1 and u not in on_path}
     m_j_serves = cert.m_j.size == len(v_j) and all(
-        (u in v_j and w in adj[u] and len(adj[w]) == 1)
-        or (w in v_j and u in adj[w] and len(adj[u]) == 1)
+        (u in v_j and _is_label(w, tree.n) and deg[w] == 1)
+        or (w in v_j and _is_label(u, tree.n) and deg[u] == 1)
         for u, w in cert.m_j.edges
     )
     checks = _common_checks(
@@ -507,18 +504,16 @@ def _verify_max(
     checks.append(
         CheckResult(
             "v_k-internal-increasing",
-            all(len(adj[v]) > 1 for v in v_k)
+            all(deg[v] > 1 for v in v_k)
             and all(v_k[i] < v_k[i + 1] for i in range(len(v_k) - 1)),
             f"v_k = {list(v_k)}",
         )
     )
     # Distinct tree vertices are at distance 2 exactly when they share a
     # neighbor (they cannot also be adjacent: a tree has no triangle).  On
-    # the kept BFS from n (parent[n] = 0, parent[0] = -1) that neighbor is
-    # the parent of both, or the parent of one and the child of the other.
-    # Members are consecutive along P_K, whatever their labels; those off
-    # P_K come first.
-    parent = tree._parent
+    # the tree rooted at n that neighbor is the parent of both, or the
+    # parent of one and the child of the other.  Members are consecutive
+    # along P_K, whatever their labels; those off P_K come first.
     along = sorted(v_k, key=lambda v: on_path.get(v, -1))
     consec = all(
         u != w
@@ -534,7 +529,9 @@ def _verify_max(
             "all members share a bipartition class",
         )
     )
-    actual_l_mk = 0 if v_mk is None else sum(1 for u in adj[v_mk] if len(adj[u]) == 1)
+    actual_l_mk = 0 if v_mk is None else (deg[parent[v_mk]] == 1) + sum(
+        deg[u] == 1 for u in kids if parent[u] == v_mk
+    )
     checks.append(
         CheckResult("l_mk-count", cert.l_mk == actual_l_mk, f"{cert.l_mk} vs {actual_l_mk}")
     )
@@ -544,7 +541,7 @@ def _verify_max(
         checks.append(CheckResult("omega-annihilation-bounds", True, "skipped (n = 2)"))
     else:
         lhs = n - 1 - l
-        rhs = -cert.l_mk + sum(len(adj[v]) for v in v_k)
+        rhs = -cert.l_mk + sum(map(deg.__getitem__, v_k))
         detail = f"n-1-l = {lhs}, -l_mk + sum deg(v_k) = {rhs}"
         checks.append(CheckResult("internal-edge-identity", lhs == rhs, detail))
         omega_ok = (a - l) <= omega <= (a - l + 1) and (omega == a - l) == (cert.l_mk == 0)
@@ -558,7 +555,7 @@ def _verify_max(
 
     # P_K runs from a connector to v_mk, which orients it whatever the
     # labels.  A consecutive pair is a tree edge when one is the other's
-    # BFS parent.
+    # parent.
     if omega == 0:
         p_k_ok = p_k == ()
     else:

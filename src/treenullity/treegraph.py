@@ -8,25 +8,26 @@ elsewhere; edges that are not n - 1 make no tree and take it at every label,
 and a vertex count, a vertex argument and a :class:`Matching` end take it too.
 A matching is tied to no tree, so its ends get no range test;
 :meth:`Matching.is_valid_in` tests the range.  Every operation is pure and
-exact.  The matching comes from one rule, children first along the BFS from
-n kept at construction: match a vertex to its parent when both are free.  A
-vertex still free when it is reached has only its parent edge left, and a
-pendant edge lies in some maximum matching; the rule is exact on trees with
-no blossom machinery.  The walk marks only the parent end of each matched
-edge, and the marks are a vertex cover as large as the matching, which no
-matching exceeds (König 1931, Egerváry 1931): a proof of nu that trusts no
-walk.
+exact.  The matching comes from one rule, children first towards the root
+n: match a vertex to its parent when both are free.  A vertex still free
+when it is reached has only its parent edge left, and a pendant edge lies
+in some maximum matching; the rule is exact on trees with no blossom
+machinery.  The walk marks only the parent end of each matched edge, and
+the marks are a vertex cover as large as the matching, which no matching
+exceeds (König 1931, Egerváry 1931): a proof of nu that trusts no walk.
 
-One BFS from n at construction proves connectivity and keeps its order and
-parents for the matching and the 2-coloring.  n - 1 edges that
-reach all n vertices hold no loop or repeat, so the edge set is built only
-to name the error of a rejected tree.
+A tree is validated by peeling leaves, with no container per vertex: two
+flat lists hold each vertex's degree and the XOR of its neighbours, so a
+leaf's one neighbour is its XOR.  Leaves other than n are peeled until
+none is left, and n - 1 edges that peel down to n make a tree.  The tree
+keeps the degrees, the parents towards n and the peel order, which lists
+children first.  Only a rejected tree builds adjacency lists, to name its
+error.
 
 A tree and a matching keep each edge they are given that is already a
-plain ``tuple`` (u, v) with u <= v, and rebuild any other; a tree also keeps
-the adjacency lists it fills.  So a tree rebuilt from another's edges, or
-from a Prüfer decode, allocates no pair, and a tree holds no second copy of
-its adjacency.  The edges of a tree or a matching are a tuple.
+plain ``tuple`` (u, v) with u <= v, and rebuild any other.  So a tree
+rebuilt from another's edges, or from a Prüfer decode, allocates no pair.
+The edges of a tree or a matching are a tuple.
 
 The adjacency rank comes from elimination over GF(2) on integer bitmasks,
 so no floating-point rank decision is ever made.  For any forest the
@@ -40,9 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NoReturn
 
-from .degseq import DegreeSequence, _check_int_tokens
+from .degseq import DegreeSequence, _check_int_tokens, _ints
 from .errors import (
     LabelOutOfRange,
     LoopOrDuplicate,
@@ -61,11 +62,6 @@ def _is_label(v, n: int) -> bool:
     """The one label rule: ``v`` is a vertex of a tree on 1..n.  The type
     test is exact, so a bool, which is an int, is no label."""
     return type(v) is int and 1 <= v <= n
-
-
-def _ints(values: Iterable) -> bool:
-    """The type test of :func:`_is_label` on every value, at C speed."""
-    return {int}.issuperset(map(type, values))
 
 
 def _pair(e) -> Edge:
@@ -103,49 +99,66 @@ class Matching:
 
     def is_valid_in(self, tree: "LabeledTree") -> bool:
         """Every edge belongs to the tree and no two edges share a vertex."""
-        n, adj, edges = tree.n, tree._adj, self.edges  # int labels, u <= v
-        # Disjoint ends first: then v in adj[u] is O(deg u) and u occurs once.
+        n, parent, edges = tree.n, tree._parent, self.edges  # int labels, u <= v
         return len(set(chain.from_iterable(edges))) == 2 * len(edges) and all(
-            1 <= u <= v <= n and v in adj[u] for u, v in edges
+            1 <= u <= v <= n and (parent[u] == v or parent[v] == u) for u, v in edges
         )
 
 
 class LabeledTree:
     """Immutable labeled tree on vertices 1..n stored as an edge set."""
 
-    __slots__ = ("n", "edges", "_adj", "_order", "_parent")
+    __slots__ = ("n", "edges", "_deg", "_parent", "_order")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if type(n) is not int:  # the exact type test of _is_label
             raise LabelOutOfRange(f"vertex count must be an int, got {n!r}")
         object.__setattr__(self, "n", n)
         # This is _is_label at almost no cost per edge: a label that is no int
-        # fails in the sort or as a list index, and an edge that is no pair
-        # unpacking.  A bool passes the range check only as 1, and the edges
-        # at 1 lead canon (u <= v), so only they take the exact type test.
+        # fails in the sort, as a list index or in the XOR, and an edge that is
+        # no pair in unpacking.  A bool passes the range check only as 1, and
+        # the edges at 1 lead canon (u <= v), so only they take the exact test.
         try:
             canon = _canonical(edges)
             if len(canon) == n - 1:
-                adj: list[list[int]] = [[] for _ in range(n + 1)]
+                deg, x = [0] * (n + 1), [0] * (n + 1)  # x[v]: XOR of v's neighbours
                 for u, v in canon:
                     if not (1 <= u <= v <= n):
                         raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
-                    adj[u].append(v)
-                    adj[v].append(u)
-            else:  # no tree, so no n + 1 lists, and every label takes the exact test
-                adj = []
+                    deg[u] += 1
+                    deg[v] += 1
+                    x[u] ^= v
+                    x[v] ^= u
+            else:  # no tree, so no n + 1 entries, and every label takes the exact test
+                deg = []
                 for u, v in canon:
                     if not (1 <= u <= v <= n):
                         raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
-            ints = _ints(chain.from_iterable(canon[: len(adj[1]) if adj else None]))
+            ints = _ints(chain.from_iterable(canon[: deg[1] if deg else None]))
         except (TypeError, ValueError):
             ints = False
         if not ints:
             raise LabelOutOfRange(f"edges must be pairs of integer labels in 1..{n}")
         object.__setattr__(self, "edges", tuple(canon))
-        # canon is sorted with u <= v, so every list was filled in ascending order
-        object.__setattr__(self, "_adj", adj)
-        self._validate()
+        if deg:
+            # Peel leaves other than n: a leaf's one neighbour is its XOR,
+            # which stays as its parent.  A leaf peeled with no edge left
+            # (x[v] = 0) ends a component apart from n and counts at rem[0].
+            rem = deg.copy()
+            order = [v for v in range(1, n) if rem[v] == 1]
+            for v in order:
+                p = x[v]
+                x[p] ^= v
+                rem[p] -= 1
+                if rem[p] == 1 and p != n:
+                    order.append(p)
+            if len(order) == n - 1 and not rem[0]:  # each peel took one edge
+                x[0] = -1  # x[n] is 0: all its neighbours were peeled
+                object.__setattr__(self, "_deg", deg)
+                object.__setattr__(self, "_parent", x)
+                object.__setattr__(self, "_order", order)
+                return
+        _reject(n, canon)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LabeledTree is immutable")
@@ -163,71 +176,40 @@ class LabeledTree:
     def __repr__(self) -> str:
         return f"LabeledTree(n={self.n}, edges={list(self.edges)})"
 
-    def _validate(self) -> None:
-        """n - 1 edges that reach all n vertices from n leave none for a loop
-        or a repeat, so they make a tree: that BFS is kept, and the edge set
-        is built only to name the error of a rejection."""
-        n, m = self.n, len(self.edges)
-        if m == n - 1:  # so n >= 1 and n is a vertex
-            order, parent = self._bfs(n)
-            if len(order) == n:
-                object.__setattr__(self, "_order", order)
-                object.__setattr__(self, "_parent", parent)
-                return
-        if len(set(self.edges)) != m or any(u == v for u, v in self.edges):
-            raise LoopOrDuplicate("loops or repeated edges are not allowed")
-        if m != n - 1:
-            raise WrongEdgeCount(f"{m} edges, a tree on {n} vertices has {n - 1}")
-        count = len(self._bfs(1)[0])
-        raise NotConnected(f"only {count} of {n} vertices reachable")
-
-    def _bfs(self, source: int) -> tuple[list[int], list[int]]:
-        """BFS order from ``source``, and parents by label: 0 for ``source``
-        and -1 unreached, entry 0 too.  ``_validate`` keeps the BFS from n."""
-        adj = self._adj
-        parent = [-1] * (self.n + 1)
-        parent[source] = 0
-        order = [source]
-        for x in order:
-            for y in adj[x]:
-                if parent[y] < 0:
-                    parent[y] = x
-                    order.append(y)
-        return order, parent
-
     # -- derived quantities --------------------------------------------------
 
     def degree_multiset(self) -> DegreeSequence:
-        return DegreeSequence(tuple(len(self._adj[v]) for v in range(1, self.n + 1)))
+        return DegreeSequence(tuple(self._deg[1:]))
 
     def _cover(self) -> bytearray:
         """The walk of the one matching rule, children first along the kept
-        BFS from n, marking only the parent end of each edge it matches.
+        peel order, marking only the parent end of each edge it matches.
 
         At v's turn v is taken exactly when a child took it, which marked
         it, and its parent exactly when another child did, so the marks are
         the walk's whole state.  They cover every edge (v, p): v is marked,
         or p was, or p is marked now; so they are a cover C with |C| = nu.
+        Any order with children first gives the same marks: v is marked
+        exactly when some child of v is unmarked.
         """
         parent, cover = self._parent, bytearray(self.n + 1)
-        for v in self._order[:0:-1]:  # all but the root n, children first
+        for v in self._order:  # all but the root n, children first
             p = parent[v]
             if not (cover[v] or cover[p]):
                 cover[p] = 1
         return cover
 
     def maximum_matching(self) -> Matching:
-        """The matching of :meth:`_cover`'s walk: each marked vertex with
-        its first unmarked child in walk order.
+        """The matching of :meth:`_cover`'s marks: each marked vertex with
+        its largest unmarked child.
 
-        Exact on trees: reversed BFS order reaches a vertex after all of its
-        descendants, so if it is still free its parent edge is pendant in
-        what is left, and some maximum matching of that forest contains a
-        given pendant edge.
+        Exact on trees: a marked vertex has an unmarked child, and every
+        unmarked vertex but n has a marked parent, so the pairs are
+        disjoint and number the marks, which cover every edge.
         """
         parent, cover = self._parent, self._cover()
-        # BFS order is the walk reversed: p keeps its first unmarked child in walk order.
-        mate = {parent[v]: v for v in self._order[1:] if cover[parent[v]] and not cover[v]}
+        # Labels ascend, so p keeps its largest unmarked child.
+        mate = {parent[v]: v for v in range(1, self.n) if cover[parent[v]] and not cover[v]}
         return Matching(tuple(mate.items()))
 
     def nullity(self) -> int:
@@ -248,11 +230,12 @@ class LabeledTree:
         n = self.n
         if n > limit:
             raise SizeLimitExceeded(f"n={n} exceeds rank limit {limit}")
+        rows = [0] * (n + 1)
+        for u, v in self.edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         basis: dict[int, int] = {}
-        for v in range(1, n + 1):
-            row = 0
-            for w in self._adj[v]:
-                row |= 1 << w
+        for row in rows:
             while row:
                 lead = row.bit_length()
                 pivot = basis.get(lead)
@@ -263,25 +246,29 @@ class LabeledTree:
         return len(basis)
 
     def distance(self, u: int, v: int) -> int:
-        """Edge count of the unique u-v path: the parents of a BFS from u,
-        climbed from v."""
+        """Edge count of the unique u-v path: u's depth below n is noted
+        at each ancestor, and v climbs its parents to the first of them."""
         for x in (u, v):
             if not _is_label(x, self.n):
                 raise LabelOutOfRange(f"label {x!r} outside 1..{self.n}")
-        parent, d = self._bfs(u)[1], 0
-        while v != u:
+        parent, up, d = self._parent, {}, 0
+        while u:  # parent[n] = 0 ends the climb
+            up[u] = d
+            u, d = parent[u], d + 1
+        d = 0
+        while v not in up:
             v, d = parent[v], d + 1
-        return d
+        return d + up[v]
 
     def two_coloring(self) -> list[int]:
         """Proper 2-coloring (trees are bipartite); entry 0 is unused (-1).
 
-        Colors alternate along the BFS from n kept at construction, flipped
-        so that vertex 1 has color 0.  Two vertices are at even distance
-        exactly when they share a color.
+        Colors alternate down from n along the peel order reversed, parents
+        first, flipped so that vertex 1 has color 0.  Two vertices are at
+        even distance exactly when they share a color.
         """
-        parent, color = self._parent, [1] * (self.n + 1)  # entry 0 gives n color 0
-        for v in self._order:
+        parent, color = self._parent, [0] * (self.n + 1)  # n keeps color 0
+        for v in reversed(self._order):
             color[v] = 1 - color[parent[v]]
         return [-1] + [c ^ color[1] for c in color[1:]]
 
@@ -299,6 +286,28 @@ class LabeledTree:
         lines.extend(f"  v{u} -- v{v};" for u, v in self.edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _reject(n: int, canon: list[Edge]) -> NoReturn:
+    """Raise the error of edges that make no tree, in order of precedence.
+    n - 1 edges with no loop or repeat that do not peel down to n are not
+    connected; the vertices reachable from 1 are counted on adjacency lists."""
+    if len(set(canon)) != len(canon) or any(u == v for u, v in canon):
+        raise LoopOrDuplicate("loops or repeated edges are not allowed")
+    if len(canon) != n - 1:
+        raise WrongEdgeCount(f"{len(canon)} edges, a tree on {n} vertices has {n - 1}")
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in canon:
+        adj[u].append(v)
+        adj[v].append(u)
+    reached = bytearray(n + 1)
+    reached[1], order = 1, [1]
+    for u in order:
+        for w in adj[u]:
+            if not reached[w]:
+                reached[w] = 1
+                order.append(w)
+    raise NotConnected(f"only {len(order)} of {n} vertices reachable")
 
 
 def parse_edge_list(text: str) -> LabeledTree:

@@ -147,7 +147,7 @@ def degrees(tree: LabeledTree) -> list[int]:
 
 def distance(tree: LabeledTree, u: int, v: int) -> int:
     """Edge count of the u-v path, by a breadth-first search of its own over
-    ``tree.edges``; it shares no code with the library's kept BFS."""
+    ``tree.edges``; it shares no code with the library's parent climb."""
     seen, frontier, d = {u}, [u], 0
     while v not in seen:
         assert frontier, f"{v} is not reachable from {u}"

@@ -45,7 +45,8 @@ class TestParse:
     @pytest.mark.parametrize(
         "degrees",
         [(1.5, 1.5, 1), (1, 1, 2.0), (1, 1, Fraction(2)), (1, 1, Decimal(2)),
-         (1, 1, "2"), ("1", "1"), (None, None)],
+         (1, 1, "2"), ("1", "1"), (None, None),
+         (True, True), (1, 1, True, 3)],  # a bool is no label, so no degree
     )
     def test_non_int_degree(self, degrees):
         with pytest.raises(InvalidDegree):

@@ -277,7 +277,7 @@ class TestVerify:
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
     def test_consecutive_distance_2(self, d):
         # V_K is replaced by each pair of vertices at distance d, so siblings
-        # and grandparents of the BFS from n both occur; only d = 2 may pass.
+        # and grandparents in the tree rooted at n both occur; only d = 2 may pass.
         cert = build_max(FIG_2B)
         labels = range(1, cert.tree.n + 1)
         pairs = [(u, v) for u in labels for v in labels if distance(cert.tree, u, v) == d]
@@ -304,6 +304,10 @@ class TestVerify:
                 {"v_k-internal-increasing", "v_k-consecutive-distance-2",
                  "internal-edge-identity", "matching-m_j-valid"},
             ),
+            # M_J's (7, 11) and (5, 14) are tree edges to a leaf, but 7 = v_mk
+            # and 14 on P_K are not in V_J = {13, 15}, and 13 goes unserved.
+            ({"m_j": Matching(((1, 15), (7, 11)))}, {"matching-m_j-valid", "m_s-size-formula"}),
+            ({"m_j": Matching(((1, 15), (5, 14)))}, {"matching-m_j-valid", "m_s-size-formula"}),
             # P_K is (4, 14, 7).
             ({"p_k": (4, 14.0, 7)}, _shape("p_k")),
             ({"p_k": (4, 0, 7)}, _shape("p_k")),
@@ -383,7 +387,7 @@ class TestVerify:
                 {"p_k": (6, 12, 4, 11, 8)},
                 {"p_k-path", "m_k-on-path", "v_k-consecutive-distance-2"},
             ),
-            # P_K walked toward n, each step from a child to its BFS parent,
+            # P_K walked toward n, each step from a child to its parent,
             # to the connector 4 named as v_mk (both ends have no leaf).
             ("max", OMEGA_3, {"p_k": (8, 11, 6, 12, 4), "v_mk": 4}, set()),
         ],
@@ -440,7 +444,7 @@ class TestVerify:
 
     def test_rewritten_edges_do_not_reuse_the_stale_slots(self):
         # The edges slot alone is rewritten to a valid tree, so the rebuild
-        # succeeds; _adj, _order and _parent still describe the old tree and
+        # succeeds; _deg, _parent and _order still describe the old tree and
         # must not be read, so the report is that of an honest path tree.
         s = parse_sequence("1,1,1,1,2,2,3,3")
         cert = build_max(s)
@@ -640,6 +644,28 @@ class TestCertificateBoundary:
         m_j, m_s = forged.get("m_j", cert.m_j), forged.get("m_s", cert.m_s)
         assert _check(report, "matching-m_j-valid").detail == f"{m_j.size} edges"
         assert _check(report, "m_s-size-formula").detail == f"{m_s.size} vs n - a = 4"
+
+    @pytest.mark.parametrize("end", [0, -1, 18, -18])  # 18 = n + 5
+    @pytest.mark.parametrize(
+        "m_j", [((1, 13), (9, 10), (10, "w")), ((1, 13), (10, "w")), ((13, "w"), (9, 10))],
+        ids=["added", "for-(9,10)", "for-(1,13)"],
+    )
+    def test_m_j_end_outside_the_labels(self, m_j, end):
+        # M_J's ends get no range test, and parent[-1] is parent[n]: an end
+        # outside 1..n is no leaf of V_J, and the report is as at the parent.
+        cert = build_max(OMEGA_3)
+        m_j = Matching(tuple(tuple(end if x == "w" else x for x in e) for e in m_j))
+        report = verify_certificate(dataclasses.replace(cert, m_j=m_j), OMEGA_3)
+        assert {c.name for c in report.failures()} == {"matching-m_j-valid", "m_s-size-formula"}
+
+    def test_m_j_edge_from_the_smaller_label_to_no_leaf(self):
+        # Reversed labels give OMEGA_3's V_J = {1, 4} labels below their
+        # neighbours'; (4, 6) is a tree edge from V_J to v_mk, which is no leaf.
+        cert = _relabelled(build_max(OMEGA_3), {v: 14 - v for v in range(1, 14)})
+        assert cert.m_j.edges == ((1, 13), (4, 5)) and cert.v_mk == 6
+        forged = dataclasses.replace(cert, m_j=Matching(((1, 13), (4, 6))))
+        report = verify_certificate(forged, OMEGA_3)
+        assert {c.name for c in report.failures()} == {"matching-m_j-valid", "m_s-size-formula"}
 
     def test_second_v_mk_edge_in_m_s(self):
         cert = build_max(FIG_2B)

@@ -85,7 +85,7 @@ class TestPrufer:
         assert count == 18_248
 
     def test_matching_is_the_greedy_along_the_decode(self):
-        # maximum_matching walks the tree's kept BFS; _code_nu and the greedy
+        # maximum_matching walks the tree's peel order; _code_nu and the greedy
         # below walk the code, along the decode's edges in walk order.  One
         # rule in two orders gives one size, and the DP, with no rule, agrees.
         for n in range(2, 8):

@@ -9,7 +9,6 @@ import time
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import randoms
 
 from conftest import (
     degrees,
@@ -17,7 +16,6 @@ from conftest import (
     every_labeled_tree,
     fraction_rank,
     labeled_trees,
-    neighbours,
     prufer_decode,
     prufer_encode,
 )
@@ -52,16 +50,53 @@ FIG_1A_EDGES = [
 
 
 class TestConstruction:
-    @given(labeled_trees(max_n=20), randoms(use_true_random=False))
-    @settings(max_examples=100, deadline=None)
-    def test_neighbors_ascending(self, t, rng):
-        # Edges in any order and orientation give the same ascending lists.
-        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
-        rng.shuffle(edges)
-        rebuilt = LabeledTree(t.n, edges)
-        assert rebuilt == t
-        for v in range(1, t.n + 1):
-            assert rebuilt._adj[v] == neighbours(t, v) == t._adj[v]
+    @pytest.mark.parametrize("n", [7, 99, 2000])
+    def test_flat_lists(self, n):
+        # Degrees, parents towards n and the peel order describe the edges,
+        # and edges in any order and orientation give the same lists.
+        rng = random.Random(n)
+        if n == 7:
+            trees = every_labeled_tree(7)
+        else:
+            trees = [random_tree(random_degree_sequence(n, seed), seed) for seed in range(3)]
+        for t in trees:
+            parent, order = t._parent, t._order
+            assert t._deg == degrees(t), t
+            assert parent[0] == -1 and parent[t.n] == 0, t
+            assert sorted(tuple(sorted((v, parent[v]))) for v in range(1, t.n)) == list(t.edges), t
+            assert sorted(order) == list(range(1, t.n)), t
+            place = {v: i for i, v in enumerate(order)}
+            assert all(parent[v] == t.n or place[v] < place[parent[v]] for v in order), t
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
+            rng.shuffle(edges)
+            rebuilt = LabeledTree(t.n, edges)
+            assert rebuilt == t
+            assert (rebuilt._deg, rebuilt._parent, rebuilt._order) == (t._deg, parent, order)
+
+    @pytest.mark.parametrize(
+        "n, edges, error, message",
+        [
+            (4, [(1, 2), (2, 3), (1, 3)], NotConnected, "only 3 of 4 vertices reachable"),
+            (6, [(1, 2), (2, 3), (1, 3), (4, 6), (5, 6)], NotConnected,
+             "only 3 of 6 vertices reachable"),
+            # The edge (1, 2) peels away from n entirely.
+            (5, [(1, 2), (3, 4), (3, 5), (4, 5)], NotConnected,
+             "only 2 of 5 vertices reachable"),
+            (4, [(1, 4), (2, 4), (2, 4)], LoopOrDuplicate,
+             "loops or repeated edges are not allowed"),
+            (3, [(1, 3), (3, 3)], LoopOrDuplicate, "loops or repeated edges are not allowed"),
+            # Every vertex but n peels, yet (1, 2) peels away from n.
+            (4, [(4, 4), (1, 2), (3, 4)], LoopOrDuplicate,
+             "loops or repeated edges are not allowed"),
+            (4, [(1, 4), (2, 4), (1, 2)], NotConnected, "only 3 of 4 vertices reachable"),
+        ],
+        ids=["cycle-n-isolated", "cycle-away-from-n", "cycle-at-n-edge-apart", "repeated-edge",
+             "loop", "loop-at-n-edge-apart", "isolated-non-root"],
+    )
+    def test_rejections(self, n, edges, error, message):
+        with pytest.raises(error) as exc:
+            LabeledTree(n, edges)
+        assert str(exc.value) == message
 
     def test_single_edge(self):
         t = LabeledTree(2, [(1, 2)])
@@ -405,7 +440,7 @@ class TestRank:
     def test_every_labeled_tree_up_to_7(self):
         # One tree per Prüfer code is every labeled tree: 18,248 of them.
         # The rational rank is independent of both the GF(2) rank and the
-        # walk along the kept BFS behind maximum_matching.
+        # walk along the peel order behind maximum_matching.
         count = 0
         for n in range(2, 8):
             for code in itertools.product(range(1, n + 1), repeat=n - 2):
