@@ -280,6 +280,21 @@ class TestCountingDP:
                 checked += 1
         assert checked == 1597
 
+    def test_pinned_histograms(self):
+        # sha256 over every class with n <= 18 (915 of them) and one random
+        # sequence per n = 19..32, in that order; recorded from the DP's
+        # unscaled, binomial form.
+        digest = hashlib.sha256()
+        seqs = [s for n in range(2, 19) for s in tree_degree_sequences(n)]
+        assert len(seqs) == 915
+        seqs += [random_degree_sequence(n, seed=n) for n in range(19, 33)]
+        for s in seqs:
+            histogram = sorted(_matching_counts(s, count_trees(s)).items())
+            digest.update(repr((s.degrees, histogram)).encode())
+        assert digest.hexdigest() == (
+            "5a047062d899515b797fc604c107d1fd8bbe0b499d462aaf3679beeba79a0552"
+        )
+
     @given(degree_sequences(max_n=9))
     @settings(max_examples=25, deadline=None)
     def test_against_leaf_stripping(self, s):
