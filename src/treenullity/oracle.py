@@ -241,10 +241,19 @@ def _matching_counts(s: DegreeSequence, total: int) -> dict[int, int]:
     Labels of one degree are interchangeable, so a count depends only on how
     many of each degree it uses.  The root is the last vertex (of largest
     degree); every other vertex roots a planted subtree with degree - 1
-    children.  A state counts the non-leaf labels per degree (mixed-radix
-    index i); m planted trees on it hold m + sum (d - 2) leaves, so leaves
-    need no axis.  ``forests[m][i]`` counts sets of m planted trees: ordered
-    m-tuples, labels split by binomials, divided by m.
+    children.  A state counts the non-leaf labels per degree (vector b,
+    mixed-radix index i); m planted trees on it hold L = m + excess leaves,
+    excess = sum b_j (d_j - 2), so leaves need no axis.  ``forests[m][i]``
+    counts sets of m planted trees on fixed labels, scaled by
+    D / (prod b_j! L!) with D = L_root! prod top_j!.  L_root is the root's
+    leaf count, kmax + the full excess: for ``1,1`` the root is itself a leaf
+    and holds one.  Scaled, the label binomials C(b, a) C(L, L_a) of a split
+    cancel: ``forests[m]`` is the plain convolution of ``planted`` with
+    ``forests[m - 1]``, divided by m D (ordered tuples, then sets), and a
+    planted root of degree d_j adds ``forests[d_j - 1][b - e_j]``, since
+    b_j / b_j! = 1 / (b_j - 1)!.  Every entry is an integer, as prod b_j!
+    divides prod top_j! and the m-loop keeps L <= L_root, so the division
+    is exact.  Only the full entry (b = top, L = L_root) is unscaled.
 
     Matching is the one rule of :meth:`LabeledTree._cover` and
     :func:`_code_nu`, children first, a vertex to its parent when both are
@@ -253,48 +262,47 @@ def _matching_counts(s: DegreeSequence, total: int) -> dict[int, int]:
     pendant edge, which some maximum matching contains.  Entries are pairs
     (all, every root matched) of polynomials in the matching number, each
     stored as its value at x = 2 ** w.  That map is a ring homomorphism, so
-    sums, products and the exact divisions by m carry over; only the final
+    sums, products and the exact divisions carry over; only the final
     coefficients must fit in w bits, and none exceeds ``total``, the number
-    of trees.
+    of trees.  Scaled entries are no counts and may pass it.
     """
     n = s.n
     leaves = s.degrees.count(1)
     types = sorted(set(s.degrees) - {1})
     top = [s.degrees[:-1].count(d) for d in types]  # all but the root
     w = total.bit_length()
-    strides = [math.prod(c + 1 for c in top[:j]) for j in range(len(top))]
-    size = math.prod(c + 1 for c in top)
-    vec = [[i // st % (c + 1) for st, c in zip(strides, top)] for i in range(size)]
-    excess = [sum(bj * (d - 2) for bj, d in zip(b, types)) for b in vec]
     kmax = s.degrees[-1]
-    # The empty forest, and a bare leaf (a free root).
-    forests = [{0: (1, 1)}, {0: (1, 0)}] + [{} for _ in range(kmax - 1)]
+    # Per state, built one axis at a time (the first least significant): its
+    # excess, its sub-states, and (children, state) for each root it can take.
+    excess, subs, roots, size = [0], [[0]], [[]], 1
+    for d, c in zip(types, top):
+        excess = [e + b * (d - 2) for b in range(c + 1) for e in excess]
+        subs = [[x + a * size for a in range(b + 1) for x in r] for b in range(c + 1) for r in subs]
+        roots = [
+            [(k, x + b * size) for k, x in r] + ([(d - 1, i + (b - 1) * size)] if b else [])
+            for b in range(c + 1)
+            for i, r in enumerate(roots)
+        ]
+        size *= c + 1
+    scale = math.factorial(kmax + excess[-1]) * math.prod(map(math.factorial, top))
+    forests = [[(0, 0)] * size for _ in range(kmax + 1)]
+    forests[0][0], forests[1][0] = (scale, scale), (scale, 0)  # no tree; a bare leaf
+    planted = forests[1]
     for i in range(size):
-        b = vec[i]
         if i and 1 + excess[i] <= leaves:  # a planted tree: label its root
-            tot = mat = 0
-            for j, bj in enumerate(b):
-                if bj:
-                    t, f = forests[types[j] - 1].get(i - strides[j], (0, 0))
-                    tot += bj * (((t - f) << w) + f)
-                    mat += bj * ((t - f) << w)
-            forests[1][i] = (tot, mat)
-        splits = []
-        for a in itertools.product(*(range(bj + 1) for bj in b)):
-            ia = sum(aj * st for aj, st in zip(a, strides))
-            if ia in forests[1]:
-                splits.append((ia, math.prod(map(math.comb, b, a)), forests[1][ia]))
+            t = f = 0
+            for k, x in roots[i]:
+                t += forests[k][x][0]
+                f += forests[k][x][1]
+            planted[i] = (((t - f) << w) + f, (t - f) << w)
+        splits = [(planted[a], i - a) for a in subs[i] if planted[a][0]]
         for m in range(2, min(kmax, leaves - excess[i]) + 1):
             tot = mat = 0
-            for ia, split, (qt, qm) in splits:
-                g = forests[m - 1].get(i - ia)
-                if g is not None:
-                    c = split * math.comb(m + excess[i], 1 + excess[ia])
-                    tot += c * qt * g[0]
-                    mat += c * qm * g[1]
-            if tot:
-                forests[m][i] = (tot // m, mat // m)
-    t, f = forests[kmax][size - 1]
+            for (qt, qm), rest in splits:
+                tot += qt * forests[m - 1][rest][0]
+                mat += qm * forests[m - 1][rest][1]
+            forests[m][i] = (tot // (m * scale), mat // (m * scale))
+    t, f = forests[kmax][-1]
     poly = ((t - f) << w) + f
     counts = {nu: (poly >> (nu * w)) & ((1 << w) - 1) for nu in range(n // 2 + 1)}
     return {nu: c for nu, c in counts.items() if c}

@@ -10,7 +10,10 @@ directory, applies one mutant at a time to the verify functions of
 ``tests/test_extremal.py tests/test_cli.py -x -q`` against it.  A mutant
 that passes those tests is a survivor: a clause that no test makes bite.
 The survivors are printed with their line (in the unmutated file) and
-operator.  ``src/`` itself is never edited.
+key.  A survivor is accepted when its key is in ``LEDGER``, which names the
+check that implies its clause; the script exits 1 when a survivor is not.
+Keys hold no line number, so they outlive edits elsewhere in the file.
+``src/`` itself is never edited.
 
 Operators: swap one comparison (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
 ``in``/``not in``), or drop one operand of an ``and``.  pytest does not
@@ -41,31 +44,55 @@ SYMBOLS = {
     ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
     ast.Gt: ">", ast.GtE: ">=", ast.In: "in", ast.NotIn: "not in",
 }
+# Accepted survivors, keyed as in _sites, each with what implies its clause.
+LEDGER = {
+    ("_common_checks", "drop `covers`", "covers and rank == 2 * nu"):
+        "nullity-formula and matching-<primary>-maximum fail whenever C does not cover",
+    ("_common_checks", "drop `rank == 2 * nu`", "covers and rank == 2 * nu"):
+        "rank A(T) = 2 nu(T) on every tree, and |C| = nu when C covers",
+    ("_verify_min", "< -> <=", "0 < len(block)"):
+        "branch-condition: the few-leaves branch has 2l < n, so n - 2l > 0",
+    ("_verify_max", "drop `cert.m_s.size == n - a`", "cert.m_s.size == n - a and composed"):
+        "matching-m_s-maximum asks |M_s| = nu = nu_min = n - a",
+    (
+        "_verify_max",
+        "drop `kept.issuperset(m_k)`",
+        "kept.issuperset(m_k) and kept.issuperset(m_j) and (len(extra) == (1 if actual_l_mk "
+        "else 0)) and all((v_mk in e for e in extra))",
+    ): "|M_s| = n - a with |M_K| = omega - 1, |M_J| = |V_J| and len(extra) leaves no room "
+       "for M_s to miss an M_K edge",
+}
 
 
-def _sites(module: ast.Module) -> list[tuple[int, int, str]]:
-    """(node index in ast.walk order, operand or operator index, label) for
-    every mutation site inside the target functions."""
-    targets = {
-        id(node)
+def _sites(module: ast.Module) -> list[tuple[int, int, int, tuple[str, str, str]]]:
+    """(node index in ast.walk order, operand or operator index, line, key)
+    for every mutation site inside the target functions.  The key is the
+    function, the operator and the text it acts on: a comparison's own two
+    operands, or the whole conjunction an operand is dropped from."""
+    owner = {
+        id(node): f.name
         for f in module.body
         if isinstance(f, ast.FunctionDef) and f.name in FUNCTIONS
         for node in ast.walk(f)
     }
     sites = []
     for k, node in enumerate(ast.walk(module)):
-        if id(node) not in targets:
+        name = owner.get(id(node))
+        if name is None:
             continue
         if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
             for i, op in enumerate(node.ops):
                 if type(op) in SWAPS:
-                    new = SYMBOLS[SWAPS[type(op)]]
-                    sites.append((k, i, f"line {node.lineno}: {SYMBOLS[type(op)]} -> {new}"))
+                    swap = f"{SYMBOLS[type(op)]} -> {SYMBOLS[SWAPS[type(op)]]}"
+                    text = " ".join(
+                        (ast.unparse(operands[i]), SYMBOLS[type(op)], ast.unparse(operands[i + 1]))
+                    )
+                    sites.append((k, i, node.lineno, (name, swap, text)))
         elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
             for i, operand in enumerate(node.values):
-                text = ast.unparse(operand)
-                text = text if len(text) <= 60 else text[:57] + "..."
-                sites.append((k, i, f"line {operand.lineno}: drop `and` operand {text}"))
+                key = (name, f"drop `{ast.unparse(operand)}`", ast.unparse(node))
+                sites.append((k, i, operand.lineno, key))
     return sites
 
 
@@ -101,16 +128,19 @@ def main() -> int:
         if not _passes(work):
             print("the unmutated copy fails the tests; no mutant was run")
             return 2
-        for n, (k, i, label) in enumerate(sites, 1):
+        for n, (k, i, line, key) in enumerate(sites, 1):
             target.write_text(_mutant(source, k, i))
             survived = _passes(work)
             if survived:
-                survivors.append(label)
-            print(f"[{n}/{len(sites)}] {'SURVIVED' if survived else 'killed'}: {label}", flush=True)
+                survivors.append(key)
+            verdict = "SURVIVED" if survived else "killed"
+            print(f"[{n}/{len(sites)}] {verdict}: line {line}: {' | '.join(key)}", flush=True)
     print(f"\n{len(survivors)} survivors of {len(sites)} mutants")
-    for label in survivors:
-        print(f"  {label}")
-    return 0
+    for key in survivors:
+        print(f"  {' | '.join(key)}: {LEDGER.get(key, 'NOT IN THE LEDGER')}")
+    for key in LEDGER.keys() - set(survivors):
+        print(f"  killed now, drop from the ledger: {' | '.join(key)}")
+    return 1 if set(survivors) - LEDGER.keys() else 0
 
 
 if __name__ == "__main__":

@@ -645,6 +645,31 @@ class TestCertificateBoundary:
         assert _check(report, "matching-m_j-valid").detail == f"{m_j.size} edges"
         assert _check(report, "m_s-size-formula").detail == f"{m_s.size} vs n - a = 4"
 
+    @pytest.mark.parametrize(
+        "text, forged, failing",
+        [
+            # A star (omega = 0) has M_K = M_J = {} and M_s one edge at the hub.
+            ("1,1,1,1,4", {"m_k": Matching(((1, 5),))}, {"m_k-on-path", "m_s-size-formula"}),
+            ("1,1,1,1,4", {"m_j": Matching(((2, 5),))}, {"matching-m_j-valid", "m_s-size-formula"}),
+            # omega forged to 0 beside the built M_s, whose two edges are
+            # n - a: only the star's one-edge rule refuses that M_s.
+            (
+                "1,1,1,1,3,3",
+                {
+                    "omega": 0, "v_k": (), "p_k": (), "v_mk": None, "l_mk": 0,
+                    "m_k": Matching(()), "m_j": Matching(()),
+                },
+                {"internal-edge-identity", "m_s-size-formula"},
+            ),
+        ],
+    )
+    def test_forged_star_composition(self, text, forged, failing):
+        s = parse_sequence(text)
+        cert = build_max(s)
+        assert cert.m_s.size == s.n - bounds(s).a
+        report = verify_certificate(dataclasses.replace(cert, **forged), s)
+        assert {c.name for c in report.failures()} == failing
+
     @pytest.mark.parametrize("end", [0, -1, 18, -18])  # 18 = n + 5
     @pytest.mark.parametrize(
         "m_j", [((1, 13), (9, 10), (10, "w")), ((1, 13), (10, "w")), ((13, "w"), (9, 10))],
