@@ -68,7 +68,8 @@ def _sites(module: ast.Module) -> list[tuple[int, int, int, tuple[str, str, str]
     """(node index in ast.walk order, operand or operator index, line, key)
     for every mutation site inside the target functions.  The key is the
     function, the operator and the text it acts on: a comparison's own two
-    operands, or the whole conjunction an operand is dropped from."""
+    operands, or the whole conjunction an operand is dropped from.  Equal
+    comparisons in one function share a key, so ledger only unique ones."""
     owner = {
         id(node): f.name
         for f in module.body
@@ -85,9 +86,8 @@ def _sites(module: ast.Module) -> list[tuple[int, int, int, tuple[str, str, str]
             for i, op in enumerate(node.ops):
                 if type(op) in SWAPS:
                     swap = f"{SYMBOLS[type(op)]} -> {SYMBOLS[SWAPS[type(op)]]}"
-                    text = " ".join(
-                        (ast.unparse(operands[i]), SYMBOLS[type(op)], ast.unparse(operands[i + 1]))
-                    )
+                    one = ast.Compare(left=operands[i], ops=[op], comparators=[operands[i + 1]])
+                    text = ast.unparse(one)
                     sites.append((k, i, node.lineno, (name, swap, text)))
         elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
             for i, operand in enumerate(node.values):
