@@ -331,17 +331,6 @@ def internal_leaf_adjacency_violations(
     )
 
 
-def _revalidated(tree) -> tuple[LabeledTree | None, str]:
-    """The tree the checks read, rebuilt from ``tree.n`` and ``tree.edges``
-    alone, or ``(None, reason)`` when it does not rebuild.  Any object goes
-    in, so a duck-typed or rewritten tree is judged by its edges.  The
-    rebuild keeps the canonical pairs of ``tree.edges``: it allocates no pair."""
-    try:
-        return LabeledTree(tree.n, tree.edges), ""
-    except (AttributeError, InputError) as exc:
-        return None, type(exc).__name__
-
-
 def _cover_nu(tree: LabeledTree) -> tuple[int, bool]:
     """|C| for the marks C of the matching walk on ``tree``, and whether C
     covers every edge.  Each edge of a matching needs its own vertex of a
@@ -627,7 +616,9 @@ def verify_certificate(
     does not rebuild from its ``n`` and ``edges``, and then
     ``certificate-shape``, when a field holds a value of the wrong shape
     (its detail names the fields); ``certificate-shape`` is listed only
-    when it fails.  Certificates produced by :func:`build_min` and
+    when it fails.  Any object goes in as the tree: it is judged by its
+    ``n`` and ``edges`` alone, so a duck-typed or rewritten tree is
+    rebuilt from them.  Certificates produced by :func:`build_min` and
     :func:`build_max` pass all checks.
     """
     if isinstance(cert, MinCertificate):
@@ -636,9 +627,12 @@ def verify_certificate(
         kind, verify = "max-nullity", _verify_max
     else:
         raise TypeError(f"not a certificate: {type(cert).__name__}")
-    tree, detail = _revalidated(cert.tree)
-    checks = [CheckResult("tree-structure", tree is not None, detail)]
-    if tree is not None:
+    try:  # the rebuild keeps the canonical pairs of ``edges``: it allocates no pair
+        tree = LabeledTree(cert.tree.n, cert.tree.edges)
+    except (AttributeError, InputError) as exc:
+        checks = [CheckResult("tree-structure", False, type(exc).__name__)]
+    else:
+        checks = [CheckResult("tree-structure", True, "")]
         bad = _bad_fields(cert, tree.n)
         if bad:
             checks.append(CheckResult("certificate-shape", False, f"bad {', '.join(bad)}"))

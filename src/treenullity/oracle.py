@@ -243,7 +243,9 @@ def _matching_counts(s: DegreeSequence, total: int) -> dict[int, int]:
     degree); every other vertex roots a planted subtree with degree - 1
     children.  A state counts the non-leaf labels per degree (vector b,
     mixed-radix index i); m planted trees on it hold L = m + excess leaves,
-    excess = sum b_j (d_j - 2), so leaves need no axis.  ``forests[m][i]``
+    excess = sum b_j (d_j - 2), so leaves need no axis.  Each state reads
+    its excess, sub-states and root children off its own digits; no table
+    but ``forests`` is kept per state.  ``forests[m][i]``
     counts sets of m planted trees on fixed labels, scaled by
     D / (prod b_j! L!) with D = L_root! prod top_j!.  L_root is the root's
     leaf count, kmax + the full excess: for ``1,1`` the root is itself a leaf
@@ -272,31 +274,31 @@ def _matching_counts(s: DegreeSequence, total: int) -> dict[int, int]:
     top = [s.degrees[:-1].count(d) for d in types]  # all but the root
     w = total.bit_length()
     kmax = s.degrees[-1]
-    # Per state, built one axis at a time (the first least significant): its
-    # excess, its sub-states, and (children, state) for each root it can take.
-    excess, subs, roots, size = [0], [[0]], [[]], 1
+    # Degree axes (children, stride, radix), the first least significant.
+    axes, size = [], 1
     for d, c in zip(types, top):
-        excess = [e + b * (d - 2) for b in range(c + 1) for e in excess]
-        subs = [[x + a * size for a in range(b + 1) for x in r] for b in range(c + 1) for r in subs]
-        roots = [
-            [(k, x + b * size) for k, x in r] + ([(d - 1, i + (b - 1) * size)] if b else [])
-            for b in range(c + 1)
-            for i, r in enumerate(roots)
-        ]
+        axes.append((d - 1, size, c + 1))
         size *= c + 1
-    scale = math.factorial(kmax + excess[-1]) * math.prod(map(math.factorial, top))
+    scale = math.factorial(kmax + sum(c * (d - 2) for d, c in zip(types, top)))
+    scale *= math.prod(map(math.factorial, top))
     forests = [[(0, 0)] * size for _ in range(kmax + 1)]
     forests[0][0], forests[1][0] = (scale, scale), (scale, 0)  # no tree; a bare leaf
     planted = forests[1]
     for i in range(size):
-        if i and 1 + excess[i] <= leaves:  # a planted tree: label its root
-            t = f = 0
-            for k, x in roots[i]:
-                t += forests[k][x][0]
-                f += forests[k][x][1]
+        # Read off the digits b > 0: the excess, the sub-states (axis by
+        # axis) and, per axis, the forest under a root of that degree.
+        excess, subs, t, f = 0, [0], 0, 0
+        for k, stride, radix in axes:
+            b = i // stride % radix
+            if b:
+                excess += b * (k - 1)
+                subs = [x + a * stride for a in range(b + 1) for x in subs]
+                rt, rf = forests[k][i - stride]
+                t, f = t + rt, f + rf
+        if i and 1 + excess <= leaves:  # a planted tree: label its root
             planted[i] = (((t - f) << w) + f, (t - f) << w)
-        splits = [(planted[a], i - a) for a in subs[i] if planted[a][0]]
-        for m in range(2, min(kmax, leaves - excess[i]) + 1):
+        splits = [(planted[a], i - a) for a in subs if planted[a][0]]
+        for m in range(2, min(kmax, leaves - excess) + 1):
             tot = mat = 0
             for (qt, qm), rest in splits:
                 tot += qt * forests[m - 1][rest][0]

@@ -158,6 +158,65 @@ class TestBuildMax:
         assert a == b
 
 
+# Well-formed forgeries of the min path block and the max P_K and V_K:
+# (kind, s, forged fields, failed checks).
+REORDERED_FORGERIES = [
+    # FEW_LEAVES has the path block (4, 5, 6), reversed, rotated by
+    # one, and with a repeated label.
+    ("min", FEW_LEAVES, {"path_block": (6, 5, 4)}, set()),
+    ("min", FEW_LEAVES, {"path_block": (5, 6, 4)}, {"path-block"}),
+    ("min", FEW_LEAVES, {"path_block": (4, 5, 4)}, {"path-block"}),
+    ("min", FEW_LEAVES, {"path_block": (5, 4, 5)}, {"path-block"}),
+    (
+        "min",
+        MANY_LEAVES,
+        {"branch": BRANCH_FEW_LEAVES, "path_block": ()},
+        {"branch-condition", "path-block"},
+    ),
+    # OMEGA_3 has P_K (4, 12, 6, 11, 8) and M_K ((4, 12), (6, 11)).
+    ("max", OMEGA_3, {"p_k": (8, 11, 6, 12, 4)}, {"p_k-path"}),
+    # Along this P_K, V_K's members 8 and 4 are at distance 4.
+    (
+        "max",
+        OMEGA_3,
+        {"p_k": (12, 6, 11, 8, 4)},
+        {"p_k-path", "m_k-on-path", "v_k-consecutive-distance-2"},
+    ),
+    # No consecutive pair is a tree edge, although both M_K edges
+    # join two P_K vertices that are adjacent in the tree.
+    ("max", OMEGA_3, {"p_k": (4, 6, 8, 12, 11)}, {"p_k-path", "m_k-on-path"}),
+    # Each forgery below breaks one clause of p_k-path and keeps the
+    # others.  A repeated vertex: the walk 6-11-8-10-8 over the forged
+    # V_K (6, 8, 10) has the right length, ends and steps.
+    (
+        "max",
+        OMEGA_3,
+        {"v_k": (6, 8, 10), "p_k": (6, 11, 8, 10, 8)},
+        {"p_k-path", "m_k-on-path", "matching-m_j-valid",
+         "v_k-consecutive-distance-2", "v_k-pairwise-even-distance",
+         "internal-off-path-leaf-adjacency"},
+    ),
+    # A V_K member off P_K: the leaf 5 takes the place of 6.
+    (
+        "max",
+        OMEGA_3,
+        {"v_k": (4, 5, 8)},
+        {"p_k-path", "v_k-internal-increasing", "v_k-consecutive-distance-2",
+         "internal-edge-identity"},
+    ),
+    # A non-edge step, 4-11, between the right ends.
+    (
+        "max",
+        OMEGA_3,
+        {"p_k": (6, 12, 4, 11, 8)},
+        {"p_k-path", "m_k-on-path", "v_k-consecutive-distance-2"},
+    ),
+    # P_K walked toward n, each step from a child to its parent,
+    # to the connector 4 named as v_mk (both ends have no leaf).
+    ("max", OMEGA_3, {"p_k": (8, 11, 6, 12, 4), "v_mk": 4}, set()),
+]
+
+
 def _relabelled(cert, label):
     """``cert`` with every vertex v renamed ``label[v]``: V_K re-sorted, and
     P_K in its own order, which still ends at v_mk."""
@@ -334,64 +393,7 @@ class TestVerify:
         report = verify_certificate(dataclasses.replace(cert, path_block=block), s)
         assert {c.name: c.detail for c in report.failures()} == _shape("path_block")
 
-    @pytest.mark.parametrize(
-        "kind, s, forged, failing",
-        [
-            # FEW_LEAVES has the path block (4, 5, 6), reversed, rotated by
-            # one, and with a repeated label.
-            ("min", FEW_LEAVES, {"path_block": (6, 5, 4)}, set()),
-            ("min", FEW_LEAVES, {"path_block": (5, 6, 4)}, {"path-block"}),
-            ("min", FEW_LEAVES, {"path_block": (4, 5, 4)}, {"path-block"}),
-            ("min", FEW_LEAVES, {"path_block": (5, 4, 5)}, {"path-block"}),
-            (
-                "min",
-                MANY_LEAVES,
-                {"branch": BRANCH_FEW_LEAVES, "path_block": ()},
-                {"branch-condition", "path-block"},
-            ),
-            # OMEGA_3 has P_K (4, 12, 6, 11, 8) and M_K ((4, 12), (6, 11)).
-            ("max", OMEGA_3, {"p_k": (8, 11, 6, 12, 4)}, {"p_k-path"}),
-            # Along this P_K, V_K's members 8 and 4 are at distance 4.
-            (
-                "max",
-                OMEGA_3,
-                {"p_k": (12, 6, 11, 8, 4)},
-                {"p_k-path", "m_k-on-path", "v_k-consecutive-distance-2"},
-            ),
-            # No consecutive pair is a tree edge, although both M_K edges
-            # join two P_K vertices that are adjacent in the tree.
-            ("max", OMEGA_3, {"p_k": (4, 6, 8, 12, 11)}, {"p_k-path", "m_k-on-path"}),
-            # Each forgery below breaks one clause of p_k-path and keeps the
-            # others.  A repeated vertex: the walk 6-11-8-10-8 over the forged
-            # V_K (6, 8, 10) has the right length, ends and steps.
-            (
-                "max",
-                OMEGA_3,
-                {"v_k": (6, 8, 10), "p_k": (6, 11, 8, 10, 8)},
-                {"p_k-path", "m_k-on-path", "matching-m_j-valid",
-                 "v_k-consecutive-distance-2", "v_k-pairwise-even-distance",
-                 "internal-off-path-leaf-adjacency"},
-            ),
-            # A V_K member off P_K: the leaf 5 takes the place of 6.
-            (
-                "max",
-                OMEGA_3,
-                {"v_k": (4, 5, 8)},
-                {"p_k-path", "v_k-internal-increasing", "v_k-consecutive-distance-2",
-                 "internal-edge-identity"},
-            ),
-            # A non-edge step, 4-11, between the right ends.
-            (
-                "max",
-                OMEGA_3,
-                {"p_k": (6, 12, 4, 11, 8)},
-                {"p_k-path", "m_k-on-path", "v_k-consecutive-distance-2"},
-            ),
-            # P_K walked toward n, each step from a child to its parent,
-            # to the connector 4 named as v_mk (both ends have no leaf).
-            ("max", OMEGA_3, {"p_k": (8, 11, 6, 12, 4), "v_mk": 4}, set()),
-        ],
-    )
+    @pytest.mark.parametrize("kind, s, forged, failing", REORDERED_FORGERIES)
     def test_reordered_path_block_and_p_k(self, kind, s, forged, failing):
         cert = build_min(s) if kind == "min" else build_max(s)
         assert verify_certificate(cert, s).ok
@@ -539,6 +541,52 @@ FORGED_FIELDS = {
 }
 
 
+# Forged M_J and M_s of build_max(OMEGA_3): (forged fields, failed checks).
+CONNECTOR_FORGERIES = [
+    # OMEGA_3 has V_J = {10, 13}, the internal neighbours of
+    # V_K = (4, 6, 8) off P_K, and M_J = ((1, 13), (9, 10)).
+    ({"m_j": Matching(())}, {"matching-m_j-valid", "m_s-size-formula"}),
+    # 8 is no leaf; M_s holds M_K and this M_J, so only M_J fails.
+    (
+        {
+            "m_j": Matching(((1, 13), (8, 10))),
+            "m_s": Matching(((1, 13), (4, 12), (6, 11), (8, 10))),
+        },
+        {"matching-m_j-valid"},
+    ),
+    # l_mk = 0, so M_s holds no edge beyond M_K and M_J; this one
+    # trades M_J's (9, 10) for (8, 10), at v_mk.
+    ({"m_s": Matching(((1, 13), (4, 12), (6, 11), (8, 10)))}, {"m_s-size-formula"}),
+    # The same M_s with M_J cut to match: M_s is then M_K and M_J plus
+    # one edge at v_mk, which l_mk = 0 forbids, and 10 goes unserved.
+    (
+        {
+            "m_j": Matching(((1, 13),)),
+            "m_s": Matching(((1, 13), (4, 12), (6, 11), (8, 10))),
+        },
+        {"matching-m_j-valid", "m_s-size-formula"},
+    ),
+]
+
+
+# Forged star compositions: (sequence, forged fields, failed checks).
+STAR_FORGERIES = [
+    # A star (omega = 0) has M_K = M_J = {} and M_s one edge at the hub.
+    ("1,1,1,1,4", {"m_k": Matching(((1, 5),))}, {"m_k-on-path", "m_s-size-formula"}),
+    ("1,1,1,1,4", {"m_j": Matching(((2, 5),))}, {"matching-m_j-valid", "m_s-size-formula"}),
+    # omega forged to 0 beside the built M_s, whose two edges are
+    # n - a: only the star's one-edge rule refuses that M_s.
+    (
+        "1,1,1,1,3,3",
+        {
+            "omega": 0, "v_k": (), "p_k": (), "v_mk": None, "l_mk": 0,
+            "m_k": Matching(()), "m_j": Matching(()),
+        },
+        {"internal-edge-identity", "m_s-size-formula"},
+    ),
+]
+
+
 def _certified(kind):
     s = FEW_LEAVES if kind == "min" else OMEGA_3
     return (build_min(s) if kind == "min" else build_max(s)), s
@@ -608,34 +656,7 @@ class TestCertificateBoundary:
         }
         assert _check(report, "omega-counts-v_k").detail == "omega = 3, |v_k| = 0"
 
-    @pytest.mark.parametrize(
-        "forged, failing",
-        [
-            # OMEGA_3 has V_J = {10, 13}, the internal neighbours of
-            # V_K = (4, 6, 8) off P_K, and M_J = ((1, 13), (9, 10)).
-            ({"m_j": Matching(())}, {"matching-m_j-valid", "m_s-size-formula"}),
-            # 8 is no leaf; M_s holds M_K and this M_J, so only M_J fails.
-            (
-                {
-                    "m_j": Matching(((1, 13), (8, 10))),
-                    "m_s": Matching(((1, 13), (4, 12), (6, 11), (8, 10))),
-                },
-                {"matching-m_j-valid"},
-            ),
-            # l_mk = 0, so M_s holds no edge beyond M_K and M_J; this one
-            # trades M_J's (9, 10) for (8, 10), at v_mk.
-            ({"m_s": Matching(((1, 13), (4, 12), (6, 11), (8, 10)))}, {"m_s-size-formula"}),
-            # The same M_s with M_J cut to match: M_s is then M_K and M_J plus
-            # one edge at v_mk, which l_mk = 0 forbids, and 10 goes unserved.
-            (
-                {
-                    "m_j": Matching(((1, 13),)),
-                    "m_s": Matching(((1, 13), (4, 12), (6, 11), (8, 10))),
-                },
-                {"matching-m_j-valid", "m_s-size-formula"},
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("forged, failing", CONNECTOR_FORGERIES)
     def test_m_j_and_m_s_witness_the_connectors(self, forged, failing):
         cert = build_max(OMEGA_3)
         assert cert.m_j.edges == ((1, 13), (9, 10)) and cert.l_mk == 0
@@ -645,24 +666,7 @@ class TestCertificateBoundary:
         assert _check(report, "matching-m_j-valid").detail == f"{m_j.size} edges"
         assert _check(report, "m_s-size-formula").detail == f"{m_s.size} vs n - a = 4"
 
-    @pytest.mark.parametrize(
-        "text, forged, failing",
-        [
-            # A star (omega = 0) has M_K = M_J = {} and M_s one edge at the hub.
-            ("1,1,1,1,4", {"m_k": Matching(((1, 5),))}, {"m_k-on-path", "m_s-size-formula"}),
-            ("1,1,1,1,4", {"m_j": Matching(((2, 5),))}, {"matching-m_j-valid", "m_s-size-formula"}),
-            # omega forged to 0 beside the built M_s, whose two edges are
-            # n - a: only the star's one-edge rule refuses that M_s.
-            (
-                "1,1,1,1,3,3",
-                {
-                    "omega": 0, "v_k": (), "p_k": (), "v_mk": None, "l_mk": 0,
-                    "m_k": Matching(()), "m_j": Matching(()),
-                },
-                {"internal-edge-identity", "m_s-size-formula"},
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("text, forged, failing", STAR_FORGERIES)
     def test_forged_star_composition(self, text, forged, failing):
         s = parse_sequence(text)
         cert = build_max(s)
@@ -700,6 +704,23 @@ class TestCertificateBoundary:
         assert {c.name for c in report.failures()} == {
             "matching-m_s-valid", "matching-m_s-maximum", "m_s-size-formula"
         }
+
+    def test_forged_reports_do_not_depend_on_labels(self):
+        # The well-formed forgeries above, relabelled by v -> n + 1 - v,
+        # which moves the leaves to the large labels and reverses P_K.
+        cases = [(kind, s, forged) for kind, s, forged, _ in REORDERED_FORGERIES]
+        cases += [("max", OMEGA_3, forged) for forged, _ in CONNECTOR_FORGERIES]
+        cases += [("max", parse_sequence(text), forged) for text, forged, _ in STAR_FORGERIES]
+        cert = build_max(FIG_2B)
+        cases.append(("max", FIG_2B, {"m_s": Matching(cert.m_s.edges + ((7, 12),))}))
+        assert len(cases) == 12 + 4 + 3 + 1
+        for kind, s, fields in cases:
+            cert = build_min(s) if kind == "min" else build_max(s)
+            forged = dataclasses.replace(cert, **fields)
+            failing = {c.name for c in verify_certificate(forged, s).failures()}
+            label = {v: s.n + 1 - v for v in range(1, s.n + 1)}
+            report = verify_certificate(_relabelled(forged, label), s)
+            assert {c.name for c in report.failures()} == failing, (s, fields)
 
     @staticmethod
     def _lying_oracle():
