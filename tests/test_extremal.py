@@ -711,8 +711,8 @@ class TestCertificateBoundary:
         cases = [(kind, s, forged) for kind, s, forged, _ in REORDERED_FORGERIES]
         cases += [("max", OMEGA_3, forged) for forged, _ in CONNECTOR_FORGERIES]
         cases += [("max", parse_sequence(text), forged) for text, forged, _ in STAR_FORGERIES]
-        cert = build_max(FIG_2B)
-        cases.append(("max", FIG_2B, {"m_s": Matching(cert.m_s.edges + ((7, 12),))}))
+        m_s = build_max(FIG_2B).m_s.edges + ((7, 12),)  # test_second_v_mk_edge_in_m_s
+        cases.append(("max", FIG_2B, {"m_s": Matching(m_s)}))
         assert len(cases) == 12 + 4 + 3 + 1
         for kind, s, fields in cases:
             cert = build_min(s) if kind == "min" else build_max(s)
