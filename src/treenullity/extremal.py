@@ -346,20 +346,31 @@ def _bad_fields(cert: MinCertificate | MaxCertificate, n: int) -> list[str]:
     """The names of the fields whose values have the wrong shape.
 
     This is the one place that decides what a field may hold: matchings are
-    :class:`Matching` values, vertex lists are tuples of labels of the tree
-    on 1..n, ``omega`` and ``l_mk`` are ints, ``v_mk`` is a label or None,
-    and ``branch`` is one of the two branch names.  Past it, every check
-    may index the tree by any label a field holds.
+    :class:`Matching` values whose edges are a tuple of pairs of ints, even
+    when the slot was rewritten past the constructor's test, vertex lists
+    are tuples of labels of the tree on 1..n, ``omega`` and ``l_mk`` are
+    ints, ``v_mk`` is a label or None, and ``branch`` is one of the two
+    branch names.  Past it, every check may index the tree by any label a
+    field holds, and :meth:`Matching.is_valid_in` may compare any end.
     """
 
     def labels(vs) -> bool:  # _is_label on every entry, at C speed
         ints = isinstance(vs, tuple) and _ints(vs)
         return ints and 1 <= min(vs, default=1) and max(vs, default=n) <= n
 
+    def pairs(m) -> bool:  # no range test: is_valid_in asks 1 <= u <= v <= n
+        edges = getattr(m, "edges", None) if isinstance(m, Matching) else None
+        return (
+            type(edges) is tuple
+            and {tuple}.issuperset(map(type, edges))
+            and {2}.issuperset(map(len, edges))
+            and _ints(chain.from_iterable(edges))
+        )
+
     if isinstance(cert, MinCertificate):
         shapes = {
             "branch": cert.branch in (BRANCH_MANY_LEAVES, BRANCH_FEW_LEAVES),
-            "matching": isinstance(cert.matching, Matching),
+            "matching": pairs(cert.matching),
             "path_block": labels(cert.path_block),
         }
     else:
@@ -369,9 +380,9 @@ def _bad_fields(cert: MinCertificate | MaxCertificate, n: int) -> list[str]:
             "v_mk": cert.v_mk is None or _is_label(cert.v_mk, n),
             "l_mk": isinstance(cert.l_mk, int),
             "p_k": labels(cert.p_k),
-            "m_k": isinstance(cert.m_k, Matching),
-            "m_j": isinstance(cert.m_j, Matching),
-            "m_s": isinstance(cert.m_s, Matching),
+            "m_k": pairs(cert.m_k),
+            "m_j": pairs(cert.m_j),
+            "m_s": pairs(cert.m_s),
         }
     return [name for name, ok in shapes.items() if not ok]
 
@@ -618,8 +629,13 @@ def verify_certificate(
     (its detail names the fields); ``certificate-shape`` is listed only
     when it fails.  Any object goes in as the tree: it is judged by its
     ``n`` and ``edges`` alone, so a duck-typed or rewritten tree is
-    rebuilt from them.  Certificates produced by :func:`build_min` and
-    :func:`build_max` pass all checks.
+    rebuilt from them.  A rebuild from the edge tuple a recent tree stored
+    takes that tree's kept validation (see :mod:`~treenullity.treegraph`)
+    instead of running it again, and it still reads no other slot: a
+    rewritten ``edges`` slot is another tuple and is validated in full, and
+    the structure comes from the record, never from the tree's own slots.
+    Certificates produced by :func:`build_min` and :func:`build_max` pass
+    all checks.
     """
     if isinstance(cert, MinCertificate):
         kind, verify = "min-nullity", _verify_min

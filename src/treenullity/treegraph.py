@@ -1,12 +1,11 @@
 """Labeled trees with exact matching, nullity and rank.
 
 Vertices are labeled 1..n.  Every tree is validated on construction.  A
-label is an int in 1..n; anything else raises :class:`LabelOutOfRange`, but
-a tree's edge list applies the exact type test of :func:`_is_label` only at
-label 1, so it refuses a bool yet keeps an int subclass (an IntEnum member)
-elsewhere; edges that are not n - 1 make no tree and take it at every label,
-and a vertex count, a vertex argument and a :class:`Matching` end take it too.
-A matching is tied to no tree, so its ends get no range test;
+label is an int in 1..n; anything else raises :class:`LabelOutOfRange`.  The
+type test of :func:`_is_label` is exact wherever a label gets in: at every
+edge end of a tree, at a vertex count, a vertex argument and a
+:class:`Matching` end, so a bool or another int subclass (an IntEnum member)
+is no label.  A matching is tied to no tree, so its ends get no range test;
 :meth:`Matching.is_valid_in` tests the range.  Every operation is pure and
 exact.  The matching comes from one rule, children first towards the root
 n: match a vertex to its parent when both are free.  A vertex still free
@@ -21,8 +20,17 @@ flat lists hold each vertex's degree and the XOR of its neighbours, so a
 leaf's one neighbour is its XOR.  Leaves other than n are peeled until
 none is left, and n - 1 edges that peel down to n make a tree.  The tree
 keeps the degrees, the parents towards n and the peel order, which lists
-children first.  Only a rejected tree builds adjacency lists, to name its
-error.
+children first, as tuples that no caller can change in place.  Only a
+rejected tree builds adjacency lists, to name its error.
+
+The last two validations are kept as records of the edge tuple a tree
+stores, its n and its three structure tuples.  A tree built from that very
+tuple object and the same n, such as a rebuild from ``t.edges``, takes the
+record and is not validated again.  That proves as much as a validation:
+the constructor is a function of n and of the tuple's contents, and a tuple
+of plain pairs of ints cannot change.  A rewritten ``edges`` slot is another
+object, so its rebuild is validated in full, and a rewritten structure slot
+is never read by a rebuild, which reads the record.
 
 A tree and a matching keep each edge they are given that is already a
 plain ``tuple`` (u, v) with u <= v, and rebuild any other.  So a tree
@@ -105,19 +113,40 @@ class Matching:
         )
 
 
+# How many validations a tree keeps for reuse.  A certification builds a
+# sequence's min and max trees before verifying either, so two records let
+# both of verify's rebuilds reuse the builders' validations; the CLI's
+# ``verify`` builds and verifies one tree at a time and needs one.
+_RECORDS_KEPT = 2
+# The last validations, newest first: (edges, n, deg, parent, order), where
+# edges is the tuple the tree stores.  A rebuild finds its record by that
+# tuple's identity, which no other object can take while the record holds
+# it.  The tuple of records is replaced whole, never changed in place, so a
+# thread reads a consistent one; a record lost to a racing thread's update
+# costs only a validation.
+_records: tuple[tuple, ...] = ()
+
+
+def _remember(record: tuple) -> None:
+    global _records
+    _records = (record,) + _records[: _RECORDS_KEPT - 1]
+
+
 class LabeledTree:
     """Immutable labeled tree on vertices 1..n stored as an edge set."""
 
-    __slots__ = ("n", "edges", "_deg", "_parent", "_order")
+    __slots__ = ("edges", "n", "_deg", "_parent", "_order")  # the order of a record
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if type(n) is not int:  # the exact type test of _is_label
             raise LabelOutOfRange(f"vertex count must be an int, got {n!r}")
-        object.__setattr__(self, "n", n)
-        # This is _is_label at almost no cost per edge: a label that is no int
-        # fails in the sort, as a list index or in the XOR, and an edge that is
-        # no pair in unpacking.  A bool passes the range check only as 1, and
-        # the edges at 1 lead canon (u <= v), so only they take the exact test.
+        for record in _records:  # edges is a tree's own tuple: reuse its validation
+            if record[0] is edges and record[1] == n:
+                self._keep(record)
+                return
+        # Every label takes the exact type test of _is_label; a label that is
+        # no int may fail before it, in the sort, as a list index or in the
+        # XOR, and an edge that is no pair fails in unpacking.
         try:
             canon = _canonical(edges)
             if len(canon) == n - 1:
@@ -129,17 +158,16 @@ class LabeledTree:
                     deg[v] += 1
                     x[u] ^= v
                     x[v] ^= u
-            else:  # no tree, so no n + 1 entries, and every label takes the exact test
+            else:  # no tree, so no n + 1 entries
                 deg = []
                 for u, v in canon:
                     if not (1 <= u <= v <= n):
                         raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
-            ints = _ints(chain.from_iterable(canon[: deg[1] if deg else None]))
+            ints = _ints(chain.from_iterable(canon))
         except (TypeError, ValueError):
             ints = False
         if not ints:
             raise LabelOutOfRange(f"edges must be pairs of integer labels in 1..{n}")
-        object.__setattr__(self, "edges", tuple(canon))
         if deg:
             # Peel leaves other than n: a leaf's one neighbour is its XOR,
             # which stays as its parent.  A leaf peeled with no edge left
@@ -154,11 +182,15 @@ class LabeledTree:
                     order.append(p)
             if len(order) == n - 1 and not rem[0]:  # each peel took one edge
                 x[0] = -1  # x[n] is 0: all its neighbours were peeled
-                object.__setattr__(self, "_deg", deg)
-                object.__setattr__(self, "_parent", x)
-                object.__setattr__(self, "_order", order)
+                record = (tuple(canon), n, tuple(deg), tuple(x), tuple(order))
+                _remember(record)
+                self._keep(record)
                 return
         _reject(n, canon)
+
+    def _keep(self, record: tuple) -> None:
+        for name, value in zip(self.__slots__, record):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LabeledTree is immutable")

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -232,8 +234,11 @@ class TestEmittedTreesReparse:
 
 
 def test_console_entry_point():
+    # pyproject's pythonpath does not reach a subprocess, so pass src on.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "treenullity.cli", "bounds", "1,1,2,2,2"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
     )

@@ -23,6 +23,7 @@ from treenullity import (
     DegreeSequence,
     LabeledTree,
     MaxCertificate,
+    WrongEdgeCount,
     bounds,
     build_max,
     build_min,
@@ -458,6 +459,46 @@ class TestVerify:
         assert report.checks[0].passed and not report.ok
         assert not _check(report, "degree-multiset").passed
 
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    @pytest.mark.parametrize("slot", ["_deg", "_parent", "_order"])
+    def test_rewritten_structure_slot_is_never_read(self, kind, slot):
+        # The rebuild from the tree's own edges reuses the record of the
+        # validation that stored them, never the tree's slots, so a slot
+        # that lies leaves the report honest.
+        cert, s = _certified(kind)
+        honest = verify_certificate(cert, s)
+        n = cert.tree.n
+        lie = {"_deg": (0,) + (1,) * n, "_parent": (-1,) + (n,) * (n - 1) + (0,), "_order": ()}
+        object.__setattr__(cert.tree, slot, lie[slot])
+        assert verify_certificate(cert, s) == honest
+        assert honest.ok
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_rebuild_from_a_trees_edges_shares_its_structure(self, kind):
+        cert, _ = _certified(kind)
+        t = cert.tree
+        rebuilt = LabeledTree(t.n, t.edges)
+        for slot in ("edges", "_deg", "_parent", "_order"):
+            assert getattr(rebuilt, slot) is getattr(t, slot), slot
+            assert type(getattr(t, slot)) is tuple, slot  # no caller changes it in place
+        # The record is of n and that very tuple: equal edges in another
+        # object are validated again, and another n is no tree.
+        again = LabeledTree(t.n, list(t.edges))
+        assert again._deg is not t._deg and again._deg == t._deg
+        with pytest.raises(WrongEdgeCount):
+            LabeledTree(t.n + 1, t.edges)
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_rebuild_after_eviction_has_the_same_structure(self, kind):
+        cert, _ = _certified(kind)
+        t = cert.tree
+        for n in (3, 4, 5):  # three other validations evict t's record
+            LabeledTree(n, [(i, i + 1) for i in range(1, n)])
+        rebuilt = LabeledTree(t.n, t.edges)
+        assert rebuilt._deg is not t._deg  # validated again
+        assert rebuilt.edges == t.edges
+        assert (rebuilt._deg, rebuilt._parent, rebuilt._order) == (t._deg, t._parent, t._order)
+
     def test_one_vertex_tree_fails_without_raising(self):
         # Its degree multiset (0,) is no DegreeSequence; verify compares the
         # degrees as a tuple, so this is a failed check, not TooSmall.
@@ -587,6 +628,23 @@ STAR_FORGERIES = [
 ]
 
 
+# Matching edges rewritten past the constructor's test, on the min witness
+# and the max M_s of 1,1,1,1,2,2,3,3: (edges, failed checks of min, of max).
+REWRITTEN_MATCHINGS = [
+    (((1.5, "x"),), SHAPE, SHAPE),
+    (((True, 2),), SHAPE, SHAPE),
+    ("ab", SHAPE, SHAPE),
+    (((1, 2, 3),), SHAPE, SHAPE),
+    (([1, 2],), SHAPE, SHAPE),  # a list is no pair: it cannot go in a set
+    # A pair of ints has the shape; it is no tree edge as (u, v) with u > v.
+    (
+        ((3, 1),),
+        {"matching-witness-valid", "matching-witness-maximum"},
+        {"matching-m_s-valid", "matching-m_s-maximum", "m_s-size-formula"},
+    ),
+]
+
+
 def _certified(kind):
     s = FEW_LEAVES if kind == "min" else OMEGA_3
     return (build_min(s) if kind == "min" else build_max(s)), s
@@ -686,6 +744,21 @@ class TestCertificateBoundary:
         m_j = Matching(tuple(tuple(end if x == "w" else x for x in e) for e in m_j))
         report = verify_certificate(dataclasses.replace(cert, m_j=m_j), OMEGA_3)
         assert {c.name for c in report.failures()} == {"matching-m_j-valid", "m_s-size-formula"}
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    @pytest.mark.parametrize("edges, failing_min, failing_max", REWRITTEN_MATCHINGS)
+    def test_rewritten_matching_slot_fails_without_raising(
+        self, kind, edges, failing_min, failing_max
+    ):
+        s = parse_sequence("1,1,1,1,2,2,3,3")
+        cert = build_min(s) if kind == "min" else build_max(s)
+        m = cert.matching if kind == "min" else cert.m_s
+        object.__setattr__(m, "edges", edges)
+        report = verify_certificate(cert, s)
+        failing = failing_min if kind == "min" else failing_max
+        assert {c.name for c in report.failures()} == failing
+        if failing == SHAPE:
+            assert report.checks[-1].detail == ("bad matching" if kind == "min" else "bad m_s")
 
     def test_m_j_edge_from_the_smaller_label_to_no_leaf(self):
         # Reversed labels give OMEGA_3's V_J = {1, 4} labels below their

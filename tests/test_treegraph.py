@@ -5,6 +5,8 @@ import enum
 import itertools
 import operator
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -61,7 +63,7 @@ class TestConstruction:
             trees = [random_tree(random_degree_sequence(n, seed), seed) for seed in range(3)]
         for t in trees:
             parent, order = t._parent, t._order
-            assert t._deg == degrees(t), t
+            assert list(t._deg) == degrees(t), t
             assert parent[0] == -1 and parent[t.n] == 0, t
             assert sorted(tuple(sorted((v, parent[v]))) for v in range(1, t.n)) == list(t.edges), t
             assert sorted(order) == list(range(1, t.n)), t
@@ -72,6 +74,31 @@ class TestConstruction:
             rebuilt = LabeledTree(t.n, edges)
             assert rebuilt == t
             assert (rebuilt._deg, rebuilt._parent, rebuilt._order) == (t._deg, parent, order)
+
+    def test_rebuilds_in_threads_keep_their_structure(self):
+        # Threads share the kept validations: a record one thread's update
+        # loses costs a validation, and no rebuild takes another tree's.
+        trees = [random_tree(random_degree_sequence(40, seed), seed) for seed in range(8)]
+        wrong = []
+
+        def rebuild(t):
+            for _ in range(200):
+                for again in (LabeledTree(t.n, t.edges), LabeledTree(t.n, list(t.edges))):
+                    if (again._deg, again._parent, again._order) != (t._deg, t._parent, t._order):
+                        wrong.append(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=rebuild, args=(t,)) for t in trees]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
 
     @pytest.mark.parametrize(
         "n, edges, error, message",
@@ -219,16 +246,15 @@ class TestLabelRule:
             with pytest.raises(LabelOutOfRange):
                 Matching(((1, x),))
 
-    def test_int_subclass_is_a_tree_label_off_label_1(self):
-        # The exact type test reaches only the edges at label 1 of a tree;
-        # distance() and Matching test every label exactly.
+    def test_int_subclass_is_no_tree_label(self):
+        # A tree, distance() and Matching all take the exact type test at
+        # every label, so an IntEnum member is no label anywhere.
         E = enum.IntEnum("E", [("ONE", 1), ("THREE", 3)])
-        t = LabeledTree(4, [(1, 2), (2, E.THREE), (E.THREE, 4)])
-        assert t.edges == ((1, 2), (2, 3), (3, 4)) and type(t.edges[1][1]) is E
+        for edges in ([(1, 2), (2, E.THREE), (E.THREE, 4)], [(E.ONE, 2), (2, 3), (3, 4)]):
+            with pytest.raises(LabelOutOfRange, match="pairs of integer labels"):
+                LabeledTree(4, edges)
         with pytest.raises(LabelOutOfRange):
-            LabeledTree(4, [(E.ONE, 2), (2, 3), (3, 4)])
-        with pytest.raises(LabelOutOfRange):
-            t.distance(E.THREE, 1)
+            path(4).distance(E.THREE, 1)
         with pytest.raises(LabelOutOfRange):
             Matching(((2, E.THREE),))
 
