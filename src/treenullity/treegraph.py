@@ -2,10 +2,11 @@
 
 Vertices are labeled 1..n.  Every tree is validated on construction.  A
 label is an int in 1..n; anything else raises :class:`LabelOutOfRange`.  The
-type test of :func:`_is_label` is exact wherever a label gets in: at every
-edge end of a tree, at a vertex count, a vertex argument and a
-:class:`Matching` end, so a bool or another int subclass (an IntEnum member)
-is no label.  A matching is tied to no tree, so its ends get no range test;
+type test of :func:`_is_label` is exact at a vertex count, a vertex argument
+and every edge end, so a bool or another int subclass (an IntEnum member) is
+no label.  One helper, :func:`_label_pairs`, owns the pair rule of a tree
+and a :class:`Matching`; a tree then tests the range once, before its fill.
+A matching is tied to no tree, so its ends get no range test;
 :meth:`Matching.is_valid_in` tests the range.  Every operation is pure and
 exact.  The matching comes from one rule, children first towards the root
 n: match a vertex to its parent when both are free.  A vertex still free
@@ -35,7 +36,9 @@ is never read by a rebuild, which reads the record.
 A tree and a matching keep each edge they are given that is already a
 plain ``tuple`` (u, v) with u <= v, and rebuild any other.  So a tree
 rebuilt from another's edges, or from a Prüfer decode, allocates no pair.
-The edges of a tree or a matching are a tuple.
+The edges of a tree or a matching are a tuple.  A tree keeps a given tuple
+whose every pair it keeps, so a rebuild from an evicted tree's edges takes a
+record again.
 
 The adjacency rank comes from elimination over GF(2) on integer bitmasks,
 so no floating-point rank decision is ever made.  For any forest the
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import is_, itemgetter
 from typing import Iterable, NoReturn
 
 from .degseq import DegreeSequence, _check_int_tokens, _ints
@@ -77,12 +81,20 @@ def _pair(e) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-def _canonical(pairs: Iterable) -> list[Edge]:
-    """The pairs as (u, v) with u <= v, sorted.  A plain tuple that is
-    already such a pair is kept itself; any other pair is rebuilt."""
-    return sorted([
-        e if type(e) is tuple and len(e) == 2 and e[0] <= e[1] else _pair(e) for e in pairs
-    ])
+def _label_pairs(pairs: Iterable) -> list[Edge]:
+    """The pairs as (u, v) with u <= v, sorted, every label an exact int.  A
+    plain tuple that is already such a pair is kept itself; any other pair
+    is rebuilt.  A label that is no int may fail before the type test, in a
+    comparison, and an edge that is no pair fails in unpacking."""
+    try:
+        canon = sorted([
+            e if type(e) is tuple and len(e) == 2 and e[0] <= e[1] else _pair(e) for e in pairs
+        ])
+        if _ints(chain.from_iterable(canon)):
+            return canon
+    except (TypeError, ValueError):
+        pass
+    raise LabelOutOfRange("edges must be pairs of integer labels")
 
 
 @dataclass(frozen=True)
@@ -92,14 +104,7 @@ class Matching:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        try:
-            canon = tuple(_canonical(self.edges))
-            ints = _ints(chain.from_iterable(canon))
-        except (TypeError, ValueError):
-            ints = False
-        if not ints:  # the label rule of _is_label, short of the range
-            raise LabelOutOfRange("matching edges must be pairs of integer labels")
-        object.__setattr__(self, "edges", canon)
+        object.__setattr__(self, "edges", tuple(_label_pairs(self.edges)))
 
     @property
     def size(self) -> int:
@@ -144,31 +149,18 @@ class LabeledTree:
             if record[0] is edges and record[1] == n:
                 self._keep(record)
                 return
-        # Every label takes the exact type test of _is_label; a label that is
-        # no int may fail before it, in the sort, as a list index or in the
-        # XOR, and an edge that is no pair fails in unpacking.
-        try:
-            canon = _canonical(edges)
-            if len(canon) == n - 1:
-                deg, x = [0] * (n + 1), [0] * (n + 1)  # x[v]: XOR of v's neighbours
-                for u, v in canon:
-                    if not (1 <= u <= v <= n):
-                        raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
-                    deg[u] += 1
-                    deg[v] += 1
-                    x[u] ^= v
-                    x[v] ^= u
-            else:  # no tree, so no n + 1 entries
-                deg = []
-                for u, v in canon:
-                    if not (1 <= u <= v <= n):
-                        raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
-            ints = _ints(chain.from_iterable(canon))
-        except (TypeError, ValueError):
-            ints = False
-        if not ints:
-            raise LabelOutOfRange(f"edges must be pairs of integer labels in 1..{n}")
-        if deg:
+        canon = _label_pairs(edges)
+        # One range test: sorted pairs (u, v) with u <= v lead with the least.
+        if canon and (canon[0][0] < 1 or max(map(itemgetter(1), canon)) > n):
+            u, v = next(e for e in canon if e[0] < 1 or e[1] > n)
+            raise LabelOutOfRange(f"edge ({u},{v}) outside 1..{n}")
+        if len(canon) == n - 1:  # else no tree, so no n + 1 entries
+            deg, x = [0] * (n + 1), [0] * (n + 1)  # x[v]: XOR of v's neighbours
+            for u, v in canon:
+                deg[u] += 1
+                deg[v] += 1
+                x[u] ^= v
+                x[v] ^= u
             # Peel leaves other than n: a leaf's one neighbour is its XOR,
             # which stays as its parent.  A leaf peeled with no edge left
             # (x[v] = 0) ends a component apart from n and counts at rem[0].
@@ -182,7 +174,11 @@ class LabeledTree:
                     order.append(p)
             if len(order) == n - 1 and not rem[0]:  # each peel took one edge
                 x[0] = -1  # x[n] is 0: all its neighbours were peeled
-                record = (tuple(canon), n, tuple(deg), tuple(x), tuple(order))
+                # A tuple whose every pair was kept is stored itself, so a
+                # rebuild from this tree's edges finds the record.
+                if not (type(edges) is tuple and all(map(is_, edges, canon))):
+                    edges = tuple(canon)
+                record = (edges, n, tuple(deg), tuple(x), tuple(order))
                 _remember(record)
                 self._keep(record)
                 return

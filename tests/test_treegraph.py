@@ -165,6 +165,22 @@ class TestConstruction:
             LabeledTree(3, [(1, 2), (2, 4)])
 
     @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (4, [(5, 2), (1, 2), (0, 3)], "edge (0,3) outside 1..4"),  # n - 1 edges
+            (4, [(1, 2), (9, 3), (7, 2)], "edge (2,7) outside 1..4"),
+            (4, [(9, 3), (7, 2)], "edge (2,7) outside 1..4"),  # a wrong count
+            (4, [(0, 1)], "edge (0,1) outside 1..4"),
+        ],
+    )
+    def test_out_of_range_names_the_first_sorted_edge(self, n, edges, message):
+        # Every edge count takes the one range test, and its message names
+        # the first edge out of range in sorted order.
+        with pytest.raises(LabelOutOfRange) as exc:
+            LabeledTree(n, edges)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "n, edges, error",
         [
             (3, [(1, 1), (2, 9)], LabelOutOfRange),  # a range error outranks a loop
@@ -190,6 +206,18 @@ class TestConstruction:
         m = t.maximum_matching()
         assert all(map(operator.is_, Matching(m.edges).edges, m.edges))
 
+    def test_rebuild_after_eviction_takes_a_record_again(self):
+        # A tree given a tuple of pairs it keeps stores that tuple itself, so
+        # once t's record is evicted, the first rebuild from t.edges records
+        # that tuple again and the second rebuild takes the record.
+        t = LabeledTree(11, FIG_1A_EDGES)
+        path(5), star(6)  # two other validations evict t's record
+        first = LabeledTree(t.n, t.edges)
+        second = LabeledTree(t.n, t.edges)
+        assert first == t and first._parent is not t._parent  # validated anew
+        assert first.edges is t.edges
+        assert second._parent is first._parent
+
     def test_other_pairs_are_rebuilt(self):
         Pair = collections.namedtuple("Pair", "u v")
         expected = tuple(sorted((min(e), max(e)) for e in FIG_1A_EDGES))
@@ -205,7 +233,7 @@ class TestConstruction:
     def test_edge_not_a_pair(self, bad):
         with pytest.raises(LabelOutOfRange, match="edges must be pairs"):
             LabeledTree(3, [bad, (2, 3)])
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(LabelOutOfRange, match="edges must be pairs"):
             Matching((bad, (2, 3)))
 
     @pytest.mark.parametrize("label", [2.0, "2", None])
