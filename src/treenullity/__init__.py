@@ -56,7 +56,6 @@ from .treegraph import (
     DEFAULT_RANK_LIMIT,
     LabeledTree,
     Matching,
-    parse_edge_list,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +93,6 @@ __all__ = [
     "count_trees",
     "internal_leaf_adjacency_violations",
     "literal_characterization",
-    "parse_edge_list",
     "parse_sequence",
     "random_degree_sequence",
     "random_tree",

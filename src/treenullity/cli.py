@@ -117,7 +117,7 @@ def _sequences_from_args(args) -> tuple[list[str], bool]:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.file}: {exc}") from None
         texts = []
         for line in raw.splitlines():
@@ -261,7 +261,7 @@ def run(argv: list[str]) -> int:
     except ConstructionInvariantViolated as exc:
         _emit_error(exc)
         return EXIT_INVARIANT
-    except (InputError, TreeNullityError) as exc:
+    except TreeNullityError as exc:
         _emit_error(exc)
         return EXIT_INVALID_INPUT
 

@@ -21,15 +21,6 @@ from .errors import InvalidDegree, NotTreeSum, ParseError, TooSmall
 _TOKEN = re.compile(r"[^\s,]+")
 
 
-def _check_int_tokens(text: str) -> None:
-    """ParseError on the first token that is no [+-]?[0-9]+, in a text that can
-    hide one from int(): one with _ or a non-ASCII character, as 1_1 or ١."""
-    if not text.isascii() or "_" in text:
-        for t in _TOKEN.findall(text):
-            if not re.fullmatch(r"[+-]?[0-9]+", t):
-                raise ParseError(f"not an integer: {t!r}")
-
-
 def _ints(values: Iterable) -> bool:
     """The exact type test of the label rule on every value, at C speed: a
     bool or another int subclass fails it."""
@@ -109,11 +100,17 @@ def parse_sequence(text: str) -> DegreeSequence:
     """Parse comma- and/or whitespace-separated integers ([+-]?[0-9]+), in any order.
 
     The result is canonicalized (sorted), so any permutation of the same
-    multiset parses to an identical sequence.
+    multiset parses to an identical sequence.  int() alone would also take
+    1_1 or ١, so a text with _ or a non-ASCII character is matched token by
+    token first.
     """
-    _check_int_tokens(text)
+    tokens = _TOKEN.findall(text)
+    if not text.isascii() or "_" in text:
+        for t in tokens:
+            if not re.fullmatch(r"[+-]?[0-9]+", t):
+                raise ParseError(f"not an integer: {t!r}")
     degrees = []
-    for t in _TOKEN.findall(text):
+    for t in tokens:
         try:
             degrees.append(int(t, 10))
         except ValueError:

@@ -15,7 +15,7 @@ class InputError(TreeNullityError):
 
 
 class ParseError(InputError):
-    """Sequence or edge-list text that does not tokenize into ASCII integers."""
+    """Sequence text that does not tokenize into ASCII integers."""
 
 
 class InvalidDegree(InputError):

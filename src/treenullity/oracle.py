@@ -19,9 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .degseq import DegreeSequence, bounds
 from .errors import ConstructionInvariantViolated, EnumerationCapExceeded
@@ -184,25 +184,27 @@ def _codes(s: DegreeSequence, start: int, count: int) -> Iterator[list[int]]:
 _CHUNK = 100_000  # longest rank range handed to one task
 
 
-def _partition(total: int, jobs: int) -> tuple[int, list[tuple[int, int]]]:
+def _partition(total: int, jobs: int) -> tuple[int, Iterator[tuple[int, int]]]:
     """Worker count and the contiguous (start, count) ranges covering 0..total.
 
     Workers are clamped to the CPU count; there are at least as many ranges
-    as workers, none longer than ``_CHUNK`` and none empty.
+    as workers, none longer than ``_CHUNK`` and none empty.  The ranges are
+    made as they are read, so a huge total costs nothing up front.
     """
     workers = max(1, min(jobs, total, os.cpu_count() or 1))
     pieces = max(workers, -(-total // _CHUNK))
-    cuts = [(k * total) // pieces for k in range(pieces + 1)]
-    return workers, [(a, b - a) for a, b in zip(cuts, cuts[1:]) if b > a]
+    cuts = ((k * total) // pieces for k in range(pieces + 1))
+    return workers, ((a, b - a) for a, b in itertools.pairwise(cuts) if b > a)
 
 
-def _fan_out(worker: Callable, tasks: list, workers: int) -> Iterator:
+def _fan_out(worker: Callable, tasks: Iterable, workers: int) -> Iterator:
     """``worker`` over ``tasks``, results in task order: in-process for one
-    worker, otherwise through one fork pool.  Closing the iterator early
-    cancels the tasks the pool has not queued and joins the workers once
-    they have run the rest: the one each is running and at most
-    ``workers + 1`` queued ahead, so the wait covers at most
-    ``2 * workers + 1`` tasks, ranges of at most ``_CHUNK`` codes for a scan.
+    worker, otherwise through one fork pool.  ``tasks`` is read only as its
+    tasks are submitted, at most ``workers + 1`` ahead of the result being
+    read, so a lazy stream of any length holds O(workers) tasks.  Closing
+    the iterator early cancels the submitted tasks the pool has not queued
+    and joins the workers once they have run the rest: at most
+    ``workers + 1`` tasks, ranges of at most ``_CHUNK`` codes for a scan.
     No worker is killed, so none can die holding the pool's result-queue
     lock."""
     if workers == 1:
@@ -211,8 +213,16 @@ def _fan_out(worker: Callable, tasks: list, workers: int) -> Iterator:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(worker, tasks)
+    tasks = iter(tasks)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        ahead = deque(pool.submit(worker, t) for t in itertools.islice(tasks, workers + 1))
+        while ahead:
+            result = ahead.popleft().result()
+            ahead.extend(pool.submit(worker, t) for t in itertools.islice(tasks, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -554,7 +564,7 @@ def conjecture_scan(
     exhaustive = total is not None
     workers, ranges = _partition(total if exhaustive else samples, jobs)
     draw_seed = None if exhaustive else seed
-    tasks = [(s, start, count, targets, draw_seed) for start, count in ranges]
+    tasks = ((s, start, count, targets, draw_seed) for start, count in ranges)
     # Ranges arrive in order, so the first witness seen for a value is the
     # first overall; the scan stops once every value has one.
     witnesses: dict[int, tuple[Edge, ...] | None] = dict.fromkeys(targets)

@@ -55,12 +55,11 @@ from itertools import chain
 from operator import is_, itemgetter
 from typing import Iterable, NoReturn
 
-from .degseq import DegreeSequence, _check_int_tokens, _ints
+from .degseq import DegreeSequence, _ints
 from .errors import (
     LabelOutOfRange,
     LoopOrDuplicate,
     NotConnected,
-    ParseError,
     SizeLimitExceeded,
     WrongEdgeCount,
 )
@@ -336,25 +335,3 @@ def _reject(n: int, canon: list[Edge]) -> NoReturn:
                 reached[w] = 1
                 order.append(w)
     raise NotConnected(f"only {len(order)} of {n} vertices reachable")
-
-
-def parse_edge_list(text: str) -> LabeledTree:
-    """Inverse of :meth:`LabeledTree.to_edge_list`."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ParseError("empty edge-list input")
-    _check_int_tokens(text)
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ParseError(f"first line must be the vertex count, got {lines[0]!r}") from None
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'u v', got {ln!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ParseError(f"expected integers, got {ln!r}") from None
-    return LabeledTree(n, pairs)

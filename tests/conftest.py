@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import itertools
+import pathlib
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +14,13 @@ from hypothesis import strategies as st
 from treenullity import DegreeSequence, LabeledTree, count_trees
 from treenullity.oracle import _code_nu, _codes, _column_edges
 from treenullity.treegraph import Edge
+
+# The benchmark's output checker imports nothing of the package, so its
+# brute-force decode and matching DP are the tests' oracles too.
+_CHECK = pathlib.Path(__file__).resolve().parent.parent / "bench" / "check.py"
+_spec = importlib.util.spec_from_file_location("bench_check", _CHECK)
+check = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check)
 
 
 @st.composite
@@ -23,23 +32,11 @@ def prufer_codes(draw, min_n: int = 2, max_n: int = 12):
 
 
 def prufer_decode(code, n: int) -> LabeledTree:
-    """The tree on 1..n with Prüfer code ``code``, by the textbook decode:
-    a heap of the current leaves, each symbol in turn joined to the
-    smallest of them, and the last two leaves, one of which is n, joined.
-    It shares no code with the library's decode (:func:`library_decode`)."""
-    deg = [1] * (n + 1)
-    for x in code:
-        deg[x] += 1
-    heap = [v for v in range(1, n + 1) if deg[v] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for x in code:
-        edges.append((heapq.heappop(heap), x))
-        deg[x] -= 1
-        if deg[x] == 1:
-            heapq.heappush(heap, x)
-    edges.append((heapq.heappop(heap), n))
-    return LabeledTree(n, edges)
+    """The tree on 1..n with Prüfer code ``code``, by the benchmark checker's
+    textbook decode: a heap of the current leaves, each symbol in turn
+    joined to the smallest of them.  It shares no code with the library's
+    decode (:func:`library_decode`)."""
+    return LabeledTree(n, check.prufer_decode(code, n))
 
 
 def library_decode(code, n: int) -> list[Edge]:
@@ -158,28 +155,10 @@ def distance(tree: LabeledTree, u: int, v: int) -> int:
 
 
 def matching_number(tree: LabeledTree) -> int:
-    """Matching number by the two-state tree DP over ``tree.edges`` alone,
-    rooted at 1: ``free[v]`` is the largest matching of v's subtree that
-    leaves v unmatched, ``best[v]`` the largest one.  It takes no greedy
-    step, so it shares no rule with the library's walks."""
-    adj: list[list[int]] = [[] for _ in range(tree.n + 1)]
-    for a, b in tree.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = [0] * (tree.n + 1)
-    order = [1]
-    for v in order:  # the list grows as it is read: a BFS from 1
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    free = [0] * (tree.n + 1)
-    best = [0] * (tree.n + 1)
-    for v in reversed(order):
-        kids = [w for w in adj[v] if w != parent[v]]
-        free[v] = sum(best[w] for w in kids)
-        best[v] = max([free[v]] + [free[v] - best[w] + free[w] + 1 for w in kids])
-    return best[1]
+    """Matching number by the benchmark checker's tree DP over ``tree.edges``
+    alone, rooted at 1.  It takes no greedy step, so it shares no rule with
+    the library's walks."""
+    return check.matching_number(tree.n, tree.edges)
 
 
 def slow_matching_histogram(s: DegreeSequence) -> dict[int, int]:

@@ -10,10 +10,10 @@ import sys
 import pytest
 
 from treenullity import (
+    LabeledTree,
     build_max,
     build_min,
     cli,
-    parse_edge_list,
     parse_sequence,
     random_degree_sequence,
     spectrum,
@@ -28,6 +28,13 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def edge_output_tree(out: str) -> LabeledTree:
+    """The tree printed by ``construct --format edges``, rebuilt (and so
+    validated) from its n line and its ``u v`` lines."""
+    n, *rows = out.splitlines()
+    return LabeledTree(int(n), [tuple(map(int, r.split())) for r in rows])
 
 
 class TestValidate:
@@ -89,7 +96,7 @@ class TestConstruct:
     def test_edges_reparse(self, capsys):
         code, out, _ = invoke(capsys, "construct", "--min", FIG_1A, "--format", "edges")
         assert code == 0
-        tree = parse_edge_list(out)
+        tree = edge_output_tree(out)
         assert tree.degree_multiset() == parse_sequence(FIG_1A)
 
     def test_json_certificate(self, capsys):
@@ -212,6 +219,26 @@ class TestBatch:
         assert code == 1
         assert json.loads(err)["error"] == "UsageError"
 
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda f: f.write_bytes(b"1,1\n\xff\n"), "UsageError", "'utf-8' codec can't decode"),
+            (lambda f: None, "UsageError", "No such file"),
+            (lambda f: f.mkdir(), "UsageError", "Is a directory"),
+            (lambda f: f.write_bytes(b"1,1\x00\n"), "ParseError", "not an integer: '1\\x00'"),
+        ],
+        ids=["not-utf8", "missing", "directory", "nul-byte"],
+    )
+    def test_hostile_file_one_json_error_line(self, capsys, tmp_path, make, error, message):
+        f = tmp_path / "seqs.txt"
+        make(f)
+        code, out, err = invoke(capsys, "validate", "--file", str(f))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload.keys() == {"error", "message"} and payload["error"] == error
+        assert message in payload["message"]
+
     def test_both_sources_rejected(self, capsys, tmp_path):
         f = tmp_path / "seqs.txt"
         f.write_text("1,1,2\n")
@@ -229,7 +256,7 @@ class TestEmittedTreesReparse:
         code, out, _ = invoke(capsys, "construct", mode, "1,1,1,1,2,2,2,2,2,3,3",
                               "--format", "edges")
         assert code == 0
-        tree = parse_edge_list(out)  # raises on any structural defect
+        tree = edge_output_tree(out)  # raises on any structural defect
         assert tree.n == 11
 
 

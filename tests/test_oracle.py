@@ -305,6 +305,7 @@ class TestPartition:
     @pytest.mark.parametrize("total,jobs", [(10**8, 10**6), (90_720, 7), (1, 5), (3, 1)])
     def test_ranges(self, total, jobs):
         workers, ranges = _partition(total, jobs)
+        ranges = list(ranges)
         assert 1 <= workers <= min(jobs, total, os.cpu_count() or 1)
         assert len(ranges) >= workers
         assert ranges[0][0] == 0
@@ -314,7 +315,22 @@ class TestPartition:
         assert sum(count for _, count in ranges) == total
 
     def test_empty(self):
-        assert _partition(0, 4) == (1, [])
+        workers, ranges = _partition(0, 4)
+        assert (workers, list(ranges)) == (1, [])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fan_out_reads_tasks_as_it_submits(self, workers):
+        drawn = []
+
+        def tasks():
+            for k in range(1000):
+                drawn.append(k)
+                yield k
+
+        results = oracle._fan_out(abs, tasks(), workers)
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        results.close()
+        assert len(drawn) <= 3 + workers + 1
 
 
 class TestChunkedKernel:
@@ -326,7 +342,7 @@ class TestChunkedKernel:
         base_scan = conjecture_scan(s)
         base_sampling = conjecture_scan(s, cap=10, samples=2500, seed=4)
         monkeypatch.setattr(oracle, "_CHUNK", 1000)
-        assert len(_partition(count_trees(s), 1)[1]) > 10
+        assert len(list(_partition(count_trees(s), 1)[1])) > 10
         for jobs in (1, 2, 3):
             assert conjecture_scan(s, jobs=jobs) == base_scan
             assert conjecture_scan(s, cap=10, samples=2500, seed=4, jobs=jobs) == base_sampling
@@ -598,6 +614,33 @@ class TestConjectureScan:
             capture_output=True,
             text=True,
             timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+    def test_huge_sample_budget_makes_no_range_up_front(self):
+        # 10**13 ranges of 10**5 draws, and the first 16 draws find both
+        # witnesses.  Under a 1 GiB address-space limit the scan must end
+        # in 2 s at jobs 1 and 2, holding a few ranges, and leave no child.
+        script = textwrap.dedent("""
+            import multiprocessing, resource, time
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+            from treenullity import oracle, parse_sequence
+
+            s = parse_sequence("1,1,1,2,2,3")
+            for jobs in (1, 2):
+                start = time.perf_counter()
+                scan = oracle.conjecture_scan(s, cap=0, samples=10**18, jobs=jobs)
+                assert scan.complete and time.perf_counter() - start < 2.0, jobs
+            assert not multiprocessing.active_children()
+            print("ok")
+        """)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 

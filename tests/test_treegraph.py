@@ -26,11 +26,9 @@ from treenullity import (
     LabeledTree,
     LoopOrDuplicate,
     NotConnected,
-    ParseError,
     SizeLimitExceeded,
     WrongEdgeCount,
     bounds,
-    parse_edge_list,
     random_degree_sequence,
     random_tree,
 )
@@ -154,8 +152,6 @@ class TestConstruction:
         # is rejected before any are.
         start = time.perf_counter()
         for _ in range(100):
-            with pytest.raises(WrongEdgeCount):
-                parse_edge_list("1000000000000\n1 2\n")
             with pytest.raises(WrongEdgeCount):
                 LabeledTree(10**12, [])
         assert time.perf_counter() - start < 1.0
@@ -552,27 +548,8 @@ class TestDistance:
 
 
 class TestSerialization:
-    def test_edge_list_round_trip(self):
-        t = LabeledTree(11, FIG_1A_EDGES)
-        assert parse_edge_list(t.to_edge_list()) == t
-
     def test_edge_list_format(self):
         assert path(3).to_edge_list() == "3\n1 2\n2 3\n"
-
-    @pytest.mark.parametrize(
-        "text, bad",
-        [
-            ("2\n1 2_0\n", "2_0"),  # int() reads 20
-            ("1_0\n1 2\n", "1_0"),
-            ("2\n1 \uff12\n", "\uff12"),  # FULLWIDTH DIGIT TWO, read as 2
-            ("\u0662\n1 2\n", "\u0662"),  # ARABIC-INDIC DIGIT TWO
-        ],
-    )
-    def test_edge_list_tokens_are_ascii_integers(self, text, bad):
-        with pytest.raises(ParseError) as info:
-            parse_edge_list(text)
-        assert str(info.value) == f"not an integer: {bad!r}"
-        assert parse_edge_list("2\n+1 02\n") == path(2)
 
     def test_dot_stable(self):
         assert star(4).to_dot() == "graph {\n  v1 -- v4;\n  v2 -- v4;\n  v3 -- v4;\n}\n"
